@@ -108,7 +108,7 @@ func benchAnalytic(repeat int) (analyticBenchReport, error) {
 
 	fmt.Fprintln(os.Stderr, "bench: cold analytic Small Figure 3 sweep (recordings included)...")
 	start = time.Now()
-	anPanels, _, err := core.Figure3Analytic(apps.Small, core.Figure3Options{Cache: core.NewRunCache()}, core.AnalyticOptions{})
+	anPanels, err := core.SolveFigure3(core.Analytic{}, apps.Small, core.Figure3Options{Cache: core.NewRunCache()})
 	if err != nil {
 		return rep, err
 	}

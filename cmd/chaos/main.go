@@ -173,13 +173,7 @@ func run() int {
 		drops, outages, *period, len(points))
 	fmt.Print(core.RenderChaosSummary(points))
 	fmt.Printf("\nfull grid written to %s\n", *out)
-	if cache != nil {
-		// Cache effectiveness goes to stderr: stdout stays byte-identical
-		// across reruns (the determinism contract).
-		s := cache.CacheStats()
-		fmt.Fprintf(os.Stderr, "run cache: %d memory hits, %d disk hits, %d simulated, %d stale\n",
-			s.Hits, s.DiskHits, s.Misses, s.Stale)
-	}
+	cliutil.ReportCache(os.Stderr, cache)
 	return cliutil.ReportOutcome(os.Stderr, "chaos", pol)
 }
 

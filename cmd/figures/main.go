@@ -26,6 +26,8 @@
 // one recorded dependency graph per variant (simulated once at the
 // reference point, solved analytically everywhere else; see DESIGN.md
 // section 5h). -analytic-tolerance bounds the replay's self-check error.
+// What the replay cannot model (-topology, -regimes, a multi-hop
+// -wan-topology) exits 2 before any section prints.
 //
 // Long sweeps can be supervised: -deadline, -max-events, -max-vtime and
 // -progress-window bound each run, and cells that have to be killed render
@@ -52,7 +54,7 @@ import (
 	"twolayer/internal/network"
 	"twolayer/internal/regime"
 	"twolayer/internal/sim"
-	"twolayer/internal/stats"
+	"twolayer/internal/wantopo"
 )
 
 func main() {
@@ -112,22 +114,6 @@ func run() int {
 		return usage(err)
 	}
 	defer cleanup()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if !*noCache {
-		if err := core.DefaultCache.SetDir(*cacheDir); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: run cache disabled: %v\n", err)
-		}
-	}
 	var filter []string
 	if *appsF != "" {
 		filter = strings.Split(*appsF, ",")
@@ -144,6 +130,78 @@ func run() int {
 			if _, err := core.AppByName(filter[i]); err != nil {
 				return usage(err)
 			}
+		}
+	}
+	// Resolve every section's configuration before any section runs, so
+	// flag misuse exits 2 with nothing on stdout.
+	var wan *wantopo.WAN
+	if *fig3 || *gaps || *all {
+		// -wan-topology needs the cluster count, fixed at the DAS's 4 for
+		// Figure 3.
+		if wan, err = cliutil.ParseWANTopology(*wanSpec, 4); err != nil {
+			return usage(err)
+		}
+	}
+	tcfg := core.TopologyStudyConfig{
+		Scale:  scale,
+		Procs:  *topoPr,
+		Apps:   filter,
+		Cache:  core.DefaultCache,
+		Policy: pol,
+	}
+	if *topoCl != "" {
+		for _, part := range strings.Split(*topoCl, ",") {
+			c, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil {
+				return usage(fmt.Errorf("-topology-clusters: bad count %q: %v", part, err))
+			}
+			tcfg.Clusters = append(tcfg.Clusters, c)
+		}
+	}
+	if *topoSp != "" {
+		for _, part := range strings.Split(*topoSp, ",") {
+			tcfg.Topologies = append(tcfg.Topologies, strings.TrimSpace(part))
+		}
+	}
+	rcfg := core.RegimeStudyConfig{
+		Scale:   scale,
+		Apps:    filter,
+		Regimes: core.DefaultRegimes(),
+		Cache:   core.DefaultCache,
+		Policy:  pol,
+	}
+	if rp.Enabled() {
+		rcfg.Regimes = []regime.Params{rp}
+	}
+	if analytic.Enabled {
+		// -analytic answers stationary clique grids only.
+		if *topoF {
+			return usage(fmt.Errorf("-analytic cannot answer -topology: the study simulates the wide-area graphs it compares"))
+		}
+		if err := core.CheckAnalytic(core.Experiment{WAN: wan}); err != nil {
+			return usage(err)
+		}
+		if *regimesF {
+			if err := core.CheckAnalytic(core.Experiment{Regime: rcfg.Regimes[0]}); err != nil {
+				return usage(err)
+			}
+		}
+	}
+	solver := analytic.Solver()
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if !*noCache {
+		if err := core.DefaultCache.SetDir(*cacheDir); err != nil {
+			fmt.Fprintf(os.Stderr, "figures: run cache disabled: %v\n", err)
 		}
 	}
 	ran := false
@@ -173,23 +231,8 @@ func run() int {
 		fmt.Println(core.RenderFigure1(points))
 	}
 	var panels []core.Figure3Panel
-	var reports []core.AnalyticReport
 	if *fig3 || *gaps || *all {
-		// -wan-topology needs the cluster count, fixed at the DAS's 4 for
-		// Figure 3.
-		wan, err := cliutil.ParseWANTopology(*wanSpec, 4)
-		if err != nil {
-			return usage(err)
-		}
-		if analytic.Enabled && !wan.IsClique() {
-			return usage(fmt.Errorf("-analytic supports only the default clique -wan-topology"))
-		}
-		opts := core.Figure3Options{Apps: filter, WAN: wan, Policy: pol}
-		if analytic.Enabled {
-			panels, reports, err = core.Figure3Analytic(scale, opts, analytic.Options())
-		} else {
-			panels, err = core.Figure3(scale, opts)
-		}
+		panels, err = core.SolveFigure3(solver, scale, core.Figure3Options{Apps: filter, WAN: wan, Policy: pol})
 		if err != nil {
 			return fail(err)
 		}
@@ -203,34 +246,25 @@ func run() int {
 		}
 		for _, p := range panels {
 			if *csv {
-				renderCSV(p)
+				core.WriteFigure3CSV(os.Stdout, p)
 			} else {
 				fmt.Println(core.RenderFigure3Panel(p))
 			}
 		}
 		if analytic.Enabled && !*csv {
 			fmt.Println("Analytic recording health and sensitivity (per variant):")
-			fmt.Println(core.RenderAnalyticReports(reports))
+			fmt.Println(core.RenderAnalyticReports(core.PanelReports(panels)))
 		}
 	}
 	if *fig4 || *all {
 		ran = true
-		var bw, lat []core.Figure4Curve
-		if analytic.Enabled {
-			bw, err = core.Figure4AnalyticBandwidth(scale, pol, analytic.Options())
-		} else {
-			bw, err = core.Figure4Bandwidth(scale, pol)
-		}
+		bw, err := core.SolveFigure4(solver, scale, true, pol)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Println("Figure 4 (left): inter-cluster communication time vs bandwidth at 3.3 ms")
 		fmt.Println(core.RenderFigure4(bw, "bandwidth B/s"))
-		if analytic.Enabled {
-			lat, err = core.Figure4AnalyticLatency(scale, pol, analytic.Options())
-		} else {
-			lat, err = core.Figure4Latency(scale, pol)
-		}
+		lat, err := core.SolveFigure4(solver, scale, false, pol)
 		if err != nil {
 			return fail(err)
 		}
@@ -246,14 +280,8 @@ func run() int {
 	}
 	if *shapes || *all {
 		ran = true
-		var results []core.ShapeResult
-		if analytic.Enabled {
-			results, err = core.ClusterShapeStudyAnalytic(scale, []string{"Water", "ASP"},
-				3300*sim.Microsecond, 0.95e6, pol, analytic.Options())
-		} else {
-			results, err = core.ClusterShapeStudy(scale, []string{"Water", "ASP"},
-				3300*sim.Microsecond, 0.95e6, pol)
-		}
+		results, err := core.SolveClusterShapes(solver, scale, []string{"Water", "ASP"},
+			3300*sim.Microsecond, 0.95e6, pol)
 		if err != nil {
 			return fail(err)
 		}
@@ -291,32 +319,6 @@ func run() int {
 	}
 	if *topoF {
 		ran = true
-		if analytic.Enabled {
-			return usage(fmt.Errorf("-analytic supports only the default clique wide-area graph; -topology sweeps generated ones"))
-		}
-		tcfg := core.TopologyStudyConfig{
-			Scale:  scale,
-			Procs:  *topoPr,
-			Cache:  core.DefaultCache,
-			Policy: pol,
-		}
-		if *topoCl != "" {
-			for _, part := range strings.Split(*topoCl, ",") {
-				c, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil {
-					return usage(fmt.Errorf("-topology-clusters: bad count %q: %v", part, err))
-				}
-				tcfg.Clusters = append(tcfg.Clusters, c)
-			}
-		}
-		if *topoSp != "" {
-			for _, part := range strings.Split(*topoSp, ",") {
-				tcfg.Topologies = append(tcfg.Topologies, strings.TrimSpace(part))
-			}
-		}
-		if filter != nil {
-			tcfg.Apps = filter
-		}
 		points, err := core.TopologyStudy(tcfg)
 		if err != nil {
 			return fail(err)
@@ -330,20 +332,6 @@ func run() int {
 	}
 	if *regimesF {
 		ran = true
-		if analytic.Enabled {
-			return usage(fmt.Errorf("-analytic needs stationary network conditions; it cannot model -regimes"))
-		}
-		rcfg := core.RegimeStudyConfig{
-			Scale:  scale,
-			Cache:  core.DefaultCache,
-			Policy: pol,
-		}
-		if rp.Enabled() {
-			rcfg.Regimes = []regime.Params{rp}
-		}
-		if filter != nil {
-			rcfg.Apps = filter
-		}
 		points, err := core.RegimeStudy(rcfg)
 		if err != nil {
 			return fail(err)
@@ -359,37 +347,8 @@ func run() int {
 		flag.Usage()
 		return cliutil.ExitUsage
 	}
-	if s := core.DefaultCache.CacheStats(); s.Hits+s.DiskHits+s.Misses > 0 {
-		line := fmt.Sprintf("run cache: %d memory hits, %d disk hits, %d simulated, %d stale",
-			s.Hits, s.DiskHits, s.Misses, s.Stale)
-		if s.GraphHits+s.GraphDiskHits+s.GraphMisses > 0 {
-			line += fmt.Sprintf("; graphs: %d memory hits, %d disk hits, %d recorded",
-				s.GraphHits, s.GraphDiskHits, s.GraphMisses)
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
+	cliutil.ReportCache(os.Stderr, core.DefaultCache)
 	return cliutil.ReportOutcome(os.Stderr, "figures", pol)
-}
-
-func renderCSV(p core.Figure3Panel) {
-	t := stats.NewTable("app", "variant", "latency_ms", "bandwidth_MBs", "relative_speedup_pct")
-	variant := "unoptimized"
-	if p.Optimized {
-		variant = "optimized"
-	}
-	for i, lat := range p.Latencies {
-		for j, bw := range p.Bandwidths {
-			value := fmt.Sprintf("%.2f", p.Rel[i][j])
-			if k := p.FailedAt(i, j); k != "" {
-				value = core.FailedCell(k)
-			}
-			t.AddRow(p.App, variant,
-				fmt.Sprintf("%.4g", lat.Milliseconds()),
-				fmt.Sprintf("%.4g", bw/1e6),
-				value)
-		}
-	}
-	t.CSV(os.Stdout)
 }
 
 func parseScale(s string) (apps.Scale, error) {

@@ -17,11 +17,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
+	"twolayer/internal/analytic"
 	"twolayer/internal/apps"
 	"twolayer/internal/cliutil"
 	"twolayer/internal/core"
@@ -58,14 +60,14 @@ func run() int {
 	adaptive := flag.Bool("adaptive", false, "let the runtime adapt to the -regime (transport tuning, collective switching, churn-aware stealing)")
 	sup := cliutil.RegisterSupervision("")
 	workers := cliutil.RegisterWorkers()
-	analytic := cliutil.RegisterAnalytic()
+	an := cliutil.RegisterAnalytic()
 	wanSpec := cliutil.RegisterWANTopology()
 	regimeFl := cliutil.RegisterRegime()
 	flag.Parse()
 	if err := cliutil.ApplyWorkers(*workers); err != nil {
 		return usage(err)
 	}
-	if err := analytic.Validate(); err != nil {
+	if err := an.Validate(); err != nil {
 		return usage(err)
 	}
 	rp, err := regimeFl.Params()
@@ -74,9 +76,6 @@ func run() int {
 	}
 	if *adaptive && !rp.Enabled() {
 		return usage(fmt.Errorf("-adaptive requires -regime"))
-	}
-	if rp.Enabled() && analytic.Enabled {
-		return usage(fmt.Errorf("-analytic needs stationary network conditions; it cannot model a -regime"))
 	}
 
 	if *bandwidth <= 0 {
@@ -138,9 +137,6 @@ func run() int {
 	if !wan.IsClique() {
 		// Multi-hop timing is defined by the windowed engine; modes that
 		// need the single-kernel one are flag misuse, not runtime errors.
-		if analytic.Enabled {
-			return usage(fmt.Errorf("-analytic supports only the default clique -wan-topology"))
-		}
 		if *traceRun || *traceFull {
 			return usage(fmt.Errorf("-trace/-trace-full support only the default clique -wan-topology"))
 		}
@@ -156,20 +152,6 @@ func run() int {
 		Topo: topo, Params: params, WAN: wan, Verify: *verify,
 		Regime: rp, Adaptive: *adaptive,
 	}
-	if analytic.Enabled {
-		if *jitter > 0 || *bwVar > 0 {
-			return usage(fmt.Errorf("-analytic cannot model fluctuating links (-jitter/-bwvar)"))
-		}
-		if *traceRun || *traceFull {
-			return usage(fmt.Errorf("-analytic predicts from a recorded graph; -trace/-trace-full need a simulated run"))
-		}
-		if !*noCache {
-			if err := core.DefaultCache.SetDir(*cacheDir); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: run cache disabled: %v\n", err)
-			}
-		}
-		return runAnalytic(x, scale, *bandwidth, pol, analytic.Options())
-	}
 	if *jitter > 0 || *bwVar > 0 {
 		v := network.Variability{
 			LatencyJitter:   sim.Time((*jitter).Nanoseconds()),
@@ -178,7 +160,7 @@ func run() int {
 			Seed:            core.DefaultSeed,
 		}
 		if err := v.Validate(); err != nil {
-			fatal(err)
+			return usage(err)
 		}
 		x.Configure = func(n *network.Network) { n.SetVariability(v) }
 	}
@@ -198,34 +180,49 @@ func run() int {
 		x.Trace = st
 		agg = st
 	}
+	label := fmt.Sprintf("%s (optimized=%v) on %s", app.Name, *optimized, topo)
+	cells := []core.Cell{{Label: label, X: x}}
+	if an.Enabled {
+		if err := core.CheckAnalytic(x); err != nil {
+			return usage(err)
+		}
+		// The asked point again with a zero-latency and with an
+		// infinite-bandwidth WAN: the LLAMP-style decomposition.
+		zeroLat, infBW := x, x
+		zeroLat.Params.WANLatency = 0
+		infBW.Params.WANBandwidth = math.MaxFloat64
+		cells = append(cells, core.Cell{Label: label, X: zeroLat}, core.Cell{Label: label, X: infBW})
+	}
 	if !*noCache {
 		if err := core.DefaultCache.SetDir(*cacheDir); err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: run cache disabled: %v\n", err)
 		}
 	}
-	label := fmt.Sprintf("%s (optimized=%v) on %s", app.Name, *optimized, topo)
-	res, failed, err := core.SupervisedRun(pol, label, x, core.DefaultCache)
+	ans, err := an.Solver().Solve(cells, pol, core.DefaultCache)
 	if err != nil {
 		fatal(err)
 	}
-	if failed != nil {
+	if failed := ans[0].Fail; failed != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %s\n", failed)
 		if rep := core.FailureReport(failed); rep != "" {
 			fmt.Fprintf(os.Stderr, "\n%s", rep)
 		}
 		return cliutil.ExitFailed
 	}
-
-	base := core.NewBaselines(scale)
-	tl, err := base.SingleCluster(app, topo.Procs())
-	if err != nil {
-		fatal(err)
-	}
+	res, tl := ans[0].Result, ans[0].Baseline
 
 	latGap, bwGap := params.Gap()
 	fmt.Printf("application:        %s (optimized=%v, scale=%s)\n", app.Name, *optimized, scale)
 	fmt.Printf("machine:            %s, WAN %v one-way / %.3g MByte/s (gap: %.0fx latency, %.0fx bandwidth)\n",
 		topo, params.WANLatency, *bandwidth, latGap, bwGap)
+	runtimeLabel := "runtime:"
+	if an.Enabled {
+		rep := ans[0].Report
+		fmt.Printf("mode:               analytic/%s (graph: %d nodes, %d messages; recorded at %v / %.3g MByte/s; ref error %.2f%%)\n",
+			rep.Engine, rep.Nodes, rep.Messages,
+			core.ReferenceWANLatency, core.ReferenceWANBandwidth/1e6, rep.RefErrorPct)
+		runtimeLabel = "predicted runtime:"
+	}
 	if !wan.IsClique() {
 		fmt.Printf("wide-area graph:    %s (diameter %d, mean path %.2f hops, %d bisection links)\n",
 			wan.Spec(), wan.Diameter(), wan.MeanPathLength(), wan.BisectionLinks())
@@ -233,9 +230,20 @@ func run() int {
 	if rp.Enabled() {
 		fmt.Printf("regime:             %s (seed %d, adaptive=%v)\n", rp.Spec, rp.Seed, *adaptive)
 	}
-	fmt.Printf("runtime:            %v (single cluster: %v)\n", res.Elapsed, tl)
+	fmt.Printf("%-20s%v (single cluster: %v)\n", runtimeLabel, res.Elapsed, tl)
 	fmt.Printf("relative speedup:   %.1f%% of the all-fast-network run\n", core.RelativeSpeedup(tl, res.Elapsed))
 	fmt.Printf("comm time share:    %.1f%%\n", core.CommTimePercent(tl, res.Elapsed))
+	cliutil.ReportCache(os.Stderr, core.DefaultCache)
+	if an.Enabled {
+		s := analytic.Sensitivity{
+			Elapsed:       res.Elapsed,
+			LatencyCost:   res.Elapsed - ans[1].Result.Elapsed,
+			BandwidthCost: res.Elapsed - ans[2].Result.Elapsed,
+		}
+		fmt.Printf("latency share:      %.1f%% of the predicted runtime is bought back by a zero-latency WAN\n", 100*s.LatencyShare())
+		fmt.Printf("bandwidth share:    %.1f%% by an infinite-bandwidth WAN\n", 100*s.BandwidthShare())
+		return cliutil.ExitOK
+	}
 	fmt.Printf("wide-area traffic:  %d messages, %.3f MByte (%.3f MByte/s aggregate)\n",
 		res.WAN.Messages, float64(res.WAN.Bytes)/1e6, float64(res.WAN.Bytes)/1e6/res.Elapsed.Seconds())
 	for c, s := range res.ClusterWANOut {
@@ -243,12 +251,6 @@ func run() int {
 			c, s.Messages, float64(s.Bytes)/1e6/res.Elapsed.Seconds())
 	}
 	fmt.Printf("simulator effort:   %d events\n", res.Events)
-	// To stderr: the report on stdout must be byte-identical across reruns
-	// (the determinism contract), and cache effectiveness is not.
-	if s := core.DefaultCache.CacheStats(); s.Hits+s.DiskHits+s.Misses > 0 {
-		fmt.Fprintf(os.Stderr, "run cache:          %d memory hits, %d disk hits, %d simulated, %d stale\n",
-			s.Hits, s.DiskHits, s.Misses, s.Stale)
-	}
 	if *verify {
 		fmt.Println("verification:       output matches the sequential reference")
 	}
@@ -268,47 +270,6 @@ func run() int {
 		for _, p := range full.TopPairs(5) {
 			fmt.Printf("  %3d -> %3d: %d bytes\n", p.Src, p.Dst, p.Bytes)
 		}
-	}
-	return cliutil.ExitOK
-}
-
-// runAnalytic answers the asked point from the variant's recorded reference
-// graph: one simulated run at the reference network point (shared across
-// reruns through the graph cache), then an analytic solve plus the
-// latency/bandwidth decomposition at the asked point.
-func runAnalytic(x core.Experiment, scale apps.Scale, bandwidthMB float64, pol *core.RunPolicy, a core.AnalyticOptions) int {
-	label := fmt.Sprintf("%s (optimized=%v) on %s analytic reference", x.App.Name, x.Optimized, x.Topo)
-	pt, failed, err := core.SolveAnalytic(label, x, pol, core.DefaultCache, a)
-	if err != nil {
-		fatal(err)
-	}
-	if failed != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %s\n", failed)
-		if rep := core.FailureReport(failed); rep != "" {
-			fmt.Fprintf(os.Stderr, "\n%s", rep)
-		}
-		return cliutil.ExitFailed
-	}
-	base := core.NewBaselines(scale)
-	tl, err := base.SingleCluster(x.App, x.Topo.Procs())
-	if err != nil {
-		fatal(err)
-	}
-	latGap, bwGap := x.Params.Gap()
-	fmt.Printf("application:        %s (optimized=%v, scale=%s)\n", x.App.Name, x.Optimized, scale)
-	fmt.Printf("machine:            %s, WAN %v one-way / %.3g MByte/s (gap: %.0fx latency, %.0fx bandwidth)\n",
-		x.Topo, x.Params.WANLatency, bandwidthMB, latGap, bwGap)
-	fmt.Printf("mode:               analytic/%s (graph: %d nodes, %d messages; recorded at %v / %.3g MByte/s; ref error %.2f%%)\n",
-		pt.Report.Engine, pt.Report.Nodes, pt.Report.Messages,
-		core.ReferenceWANLatency, core.ReferenceWANBandwidth/1e6, pt.Report.RefErrorPct)
-	fmt.Printf("predicted runtime:  %v (single cluster: %v)\n", pt.Elapsed, tl)
-	fmt.Printf("relative speedup:   %.1f%% of the all-fast-network run\n", core.RelativeSpeedup(tl, pt.Elapsed))
-	fmt.Printf("comm time share:    %.1f%%\n", core.CommTimePercent(tl, pt.Elapsed))
-	fmt.Printf("latency share:      %.1f%% of the predicted runtime is bought back by a zero-latency WAN\n", pt.LatencySharePct)
-	fmt.Printf("bandwidth share:    %.1f%% by an infinite-bandwidth WAN\n", pt.BandwidthSharePct)
-	if s := core.DefaultCache.CacheStats(); s.Hits+s.DiskHits+s.Misses+s.GraphHits+s.GraphDiskHits+s.GraphMisses > 0 {
-		fmt.Fprintf(os.Stderr, "run cache:          %d memory hits, %d disk hits, %d simulated, %d stale; graphs: %d memory hits, %d disk hits, %d recorded\n",
-			s.Hits, s.DiskHits, s.Misses, s.Stale, s.GraphHits, s.GraphDiskHits, s.GraphMisses)
 	}
 	return cliutil.ExitOK
 }

@@ -136,6 +136,27 @@ func ReportOutcome(w io.Writer, tool string, pol *core.RunPolicy) int {
 	return ExitFailed
 }
 
+// ReportCache prints the run cache's effectiveness counters to w — stderr
+// in the tools, since stdout must stay byte-identical across reruns and the
+// counters do not. An unused or nil cache prints nothing.
+func ReportCache(w io.Writer, c *core.RunCache) {
+	if c == nil {
+		return
+	}
+	s := c.CacheStats()
+	graphs := s.GraphHits + s.GraphDiskHits + s.GraphMisses
+	if s.Hits+s.DiskHits+s.Misses+graphs == 0 {
+		return
+	}
+	fmt.Fprintf(w, "run cache: %d memory hits, %d disk hits, %d simulated, %d stale",
+		s.Hits, s.DiskHits, s.Misses, s.Stale)
+	if graphs > 0 {
+		fmt.Fprintf(w, "; graphs: %d memory hits, %d disk hits, %d recorded",
+			s.GraphHits, s.GraphDiskHits, s.GraphMisses)
+	}
+	fmt.Fprintln(w)
+}
+
 // WriteFileAtomic writes one output artifact through a temp file and a
 // rename, creating parent directories as needed. A crash or a concurrent
 // writer can never leave a half-written file at path: readers observe the

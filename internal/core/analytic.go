@@ -1,15 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"twolayer/internal/analytic"
-	"twolayer/internal/apps"
+	"twolayer/internal/faults"
 	"twolayer/internal/network"
+	"twolayer/internal/par"
 	"twolayer/internal/sim"
 	"twolayer/internal/stats"
-	"twolayer/internal/topology"
 )
 
 // Analytic mode: simulate once, answer many. Each variant is simulated a
@@ -39,25 +40,42 @@ func ReferenceParams() network.Params {
 // must be exact there regardless).
 const DefaultAnalyticTolerance = 0.05
 
-// AnalyticOptions tunes how analytic sweeps check and solve their grids.
-// The zero value means: default tolerance, batched solves.
-type AnalyticOptions struct {
+// Analytic is the Solver that answers cells from one recorded dependency
+// graph per variant instead of simulating each. The zero value uses the
+// default tolerance.
+type Analytic struct {
 	// Tolerance bounds the matched replay's self-check error at the
 	// reference point; <= 0 means DefaultAnalyticTolerance.
 	Tolerance float64
-	// Scalar forces the point-at-a-time solve loop instead of the batched
-	// structure-of-arrays pass. The two are bit-identical (property-tested
-	// in internal/analytic and pinned by TestAnalyticBatchEqualsScalar
-	// here); the switch exists for A/B verification and benchmarking, not
-	// because the answers differ.
-	Scalar bool
 }
 
-func (a AnalyticOptions) tolerance() float64 {
+func (a Analytic) tolerance() float64 {
 	if a.Tolerance <= 0 {
 		return DefaultAnalyticTolerance
 	}
 	return a.Tolerance
+}
+
+// CheckAnalytic reports why the analytic solver cannot answer x, nil if it
+// can. The replay model re-costs one wide-area leg per cross-cluster
+// message of a stationary run, so multi-hop routes, time-varying regimes,
+// faults, per-run network tweaks and attached traces are all out of reach.
+// The CLIs call it before any output to turn the refusal into a usage
+// error; the solver calls it again on every cell.
+func CheckAnalytic(x Experiment) error {
+	switch {
+	case x.WAN.CacheKey() != "":
+		return fmt.Errorf("core: analytic mode supports only the default clique wide-area graph (got %q)", x.WAN.Spec())
+	case x.Regime.Enabled():
+		return errors.New("core: analytic mode needs stationary network conditions; it cannot model a regime")
+	case x.Faults != (faults.Params{}):
+		return errors.New("core: analytic mode cannot model wide-area faults")
+	case x.Configure != nil:
+		return errors.New("core: analytic mode cannot model per-run network changes (jitter, bandwidth variability)")
+	case x.Trace != nil:
+		return errors.New("core: analytic mode predicts from a recorded graph; a trace needs a simulated run")
+	}
+	return nil
 }
 
 // AnalyticReport is the per-variant health and sensitivity summary of an
@@ -116,7 +134,7 @@ func analyticProbes() []network.Params {
 // its evaluator plus report skeleton. The exactness check runs on every
 // load: a cached graph that no longer replays to its recorded elapsed time
 // is corrupt (or the replay model drifted) and must not produce figures.
-func analyticEval(label string, x Experiment, pol *RunPolicy, cache *RunCache, a AnalyticOptions) (*analytic.Eval, *CellFailure, AnalyticReport, error) {
+func analyticEval(label string, x Experiment, pol *RunPolicy, cache *RunCache, tol float64) (*analytic.Eval, *CellFailure, AnalyticReport, error) {
 	rep := AnalyticReport{App: x.App.Name, Optimized: x.Optimized}
 	g, fail, err := cache.RecordedGraph(label, x, pol)
 	if err != nil || fail != nil {
@@ -131,7 +149,6 @@ func analyticEval(label string, x Experiment, pol *RunPolicy, cache *RunCache, a
 	rep.Messages = g.Messages()
 	refErr := relErrPct(ev.SolveMatched(g.Ref), g.RefElapsed)
 	rep.RefErrorPct = refErr
-	tol := a.tolerance()
 	if refErr > 100*tol {
 		return nil, nil, rep, fmt.Errorf("core: %s: matched replay at the reference off by %.2f%% (tolerance %.0f%%)",
 			label, refErr, 100*tol)
@@ -140,71 +157,24 @@ func analyticEval(label string, x Experiment, pol *RunPolicy, cache *RunCache, a
 	if ev.FrozenAccurate(analyticProbes(), tol/3) {
 		rep.Engine = "frozen"
 	}
-	s := analyticSensitivity(analyticGridSolver(ev, rep, a), g.Ref)
-	rep.LatencySharePct = 100 * s.LatencyShare()
-	rep.BandwidthSharePct = 100 * s.BandwidthShare()
 	return ev, nil, rep, nil
 }
 
-// analyticSolver returns the grid-solve function the report's calibration
-// chose: the incremental frozen pass, or the full matched replay.
-func analyticSolver(ev *analytic.Eval, rep AnalyticReport) func(network.Params) sim.Time {
-	if rep.Engine == "frozen" {
-		return ev.Solve
+// solveBatch answers many points in one batched pass on the engine the
+// report's calibration chose: the incremental frozen walk shared across
+// points, or the matched replay sharded across clones. Both are
+// bit-identical to the point-at-a-time Solve and SolveMatched.
+func solveBatch(ev *analytic.Eval, engine string, ps []network.Params) []sim.Time {
+	// Shard across the -workers count when a CLI set one, the machine
+	// default otherwise.
+	workers := DefaultWorkers()
+	if workers <= 0 {
+		workers = sim.DefaultWorkers()
 	}
-	return ev.SolveMatched
-}
-
-// analyticWorkers resolves the worker count batched grid solves shard
-// across: the shared -workers convention when a CLI set one, the machine
-// default otherwise.
-func analyticWorkers() int {
-	if w := DefaultWorkers(); w > 0 {
-		return w
+	if engine == "frozen" {
+		return ev.SolveBatchParallel(ps, workers)
 	}
-	return sim.DefaultWorkers()
-}
-
-// analyticGridSolver returns the multi-point solve function for one
-// variant: the batched structure-of-arrays pass on the calibrated engine
-// (frozen points shared across one walk, matched points sharded across
-// clones), or — under AnalyticOptions.Scalar — the point-at-a-time loop
-// the batch is verified bit-identical against.
-func analyticGridSolver(ev *analytic.Eval, rep AnalyticReport, a AnalyticOptions) func([]network.Params) []sim.Time {
-	if a.Scalar {
-		solve := analyticSolver(ev, rep)
-		return func(ps []network.Params) []sim.Time {
-			out := make([]sim.Time, len(ps))
-			for i, p := range ps {
-				out[i] = solve(p)
-			}
-			return out
-		}
-	}
-	if rep.Engine == "frozen" {
-		return func(ps []network.Params) []sim.Time {
-			return ev.SolveBatchParallel(ps, analyticWorkers())
-		}
-	}
-	return func(ps []network.Params) []sim.Time {
-		return ev.SolveMatchedBatch(ps, analyticWorkers())
-	}
-}
-
-// analyticSensitivity is Eval.Sensitivity routed through a grid solver:
-// one three-point solve (asked, zero-latency, infinite-bandwidth) instead
-// of three scalar ones, same arithmetic.
-func analyticSensitivity(solve func([]network.Params) []sim.Time, p network.Params) analytic.Sensitivity {
-	zeroLat := p
-	zeroLat.WANLatency = 0
-	infBW := p
-	infBW.WANBandwidth = math.MaxFloat64
-	ts := solve([]network.Params{p, zeroLat, infBW})
-	return analytic.Sensitivity{
-		Elapsed:       ts[0],
-		LatencyCost:   ts[0] - ts[1],
-		BandwidthCost: ts[0] - ts[2],
-	}
+	return ev.SolveMatchedBatch(ps, workers)
 }
 
 func relErrPct(got, want sim.Time) float64 {
@@ -218,331 +188,121 @@ func relErrPct(got, want sim.Time) float64 {
 	return 100 * d / float64(want)
 }
 
-// AnalyticPoint is the analytic answer for one network point.
-type AnalyticPoint struct {
-	// Elapsed is the predicted completion time at the asked point.
-	Elapsed sim.Time
-	// LatencySharePct and BandwidthSharePct decompose Elapsed at the asked
-	// point (not the reference), LLAMP-style.
-	LatencySharePct, BandwidthSharePct float64
-	// Report is the variant's recording health summary.
-	Report AnalyticReport
-}
-
-// SolveAnalytic answers a single network point from the variant's recorded
-// reference graph: x carries the asked point in Params; the recording run
-// itself always happens at ReferenceParams (Verify and Configure are
-// dropped — they cannot ride on a recording). A supervised kill of the one
-// recording run comes back as the CellFailure.
-func SolveAnalytic(label string, x Experiment, pol *RunPolicy, cache *RunCache, a AnalyticOptions) (AnalyticPoint, *CellFailure, error) {
-	asked := x.Params
-	x.Params = ReferenceParams()
-	x.Verify = false
-	x.Configure = nil
-	ev, fail, rep, err := analyticEval(label, x, pol, cache, a)
-	if err != nil || fail != nil {
-		return AnalyticPoint{Report: rep}, fail, err
+// Solve answers the cells analytically. Each cell's experiment is recorded
+// at ReferenceParams instead of its own point (Verify dropped: it cannot
+// ride on a recording); cells sharing a recording form one variant, with
+// one AnalyticReport. It runs in two phases:
+//
+//  1. record (or load) every variant's graph in parallel, with its
+//     exactness and tolerance self-checks, engine calibration and
+//     single-cluster baseline;
+//  2. solve each variant's cells — plus its latency-tolerance curve and
+//     reference-point sensitivity — in one batched pass, heaviest graph
+//     first.
+//
+// A recording the policy gave up on fails every cell of its variant.
+func (a Analytic) Solve(cells []Cell, pol *RunPolicy, cache *RunCache) ([]Answer, error) {
+	for _, c := range cells {
+		if err := CheckAnalytic(c.X); err != nil {
+			return nil, err
+		}
 	}
-	s := analyticSensitivity(analyticGridSolver(ev, rep, a), asked)
-	return AnalyticPoint{
-		Elapsed:           s.Elapsed,
-		LatencySharePct:   100 * s.LatencyShare(),
-		BandwidthSharePct: 100 * s.BandwidthShare(),
-		Report:            rep,
-	}, nil, nil
-}
-
-// Figure3Analytic produces the paper's Figure 3 panels from one recorded
-// run per variant: record (or load) the reference graph, then solve every
-// latency/bandwidth cell analytically — the whole panel in one batched
-// multi-point pass per variant (a.Scalar falls back to the point-at-a-time
-// loop). Baselines are simulated through the cache as usual. a.Tolerance
-// bounds the matched replay's reference self-check. Alongside the panels
-// it returns one AnalyticReport per variant.
-func Figure3Analytic(scale apps.Scale, opts Figure3Options, a AnalyticOptions) ([]Figure3Panel, []AnalyticReport, error) {
-	if opts.WAN != nil && !opts.WAN.IsClique() {
-		// The replay model charges one wide-area leg per cross-cluster
-		// message; multi-hop routes and forwarding contention are invisible
-		// to it. Refuse rather than answer a clique question dressed as a
-		// topology one.
-		return nil, nil, fmt.Errorf("core: analytic mode supports only the default clique wide-area graph (got %q)", opts.WAN.Spec())
-	}
-	lats := opts.Latencies
-	if lats == nil {
-		lats = Latencies
-	}
-	bws := opts.Bandwidths
-	if bws == nil {
-		bws = Bandwidths
-	}
-	topo := opts.Topo
-	if topo == nil {
-		topo = topology.DAS()
-	}
-	cache := opts.Cache
 	if cache == nil {
-		cache = DefaultCache
+		cache = NewRunCache() // the recordings live in a cache's graph layer
 	}
-
-	type variant struct {
-		app apps.Info
-		opt bool
+	type group struct {
+		label string
+		x     Experiment // the recording
+		cells []int
+		rep   AnalyticReport
+		g     *analytic.Graph
+		tl    sim.Time
 	}
-	var variants []variant
-	for _, a := range Apps() {
-		if len(opts.Apps) > 0 && !nameIn(opts.Apps, a.Name) {
-			continue
+	var groups []*group
+	byKey := map[RunKey]*group{}
+	for i, c := range cells {
+		x := c.X
+		x.Params = ReferenceParams()
+		x.Verify = false
+		gr := byKey[x.Key()]
+		if gr == nil {
+			gr = &group{x: x, label: fmt.Sprintf("%s (%s) on %s",
+				x.App.Name, variantName(x.Optimized), x.Topo)}
+			byKey[x.Key()] = gr
+			groups = append(groups, gr)
 		}
-		variants = append(variants, variant{a, false})
-		if a.HasOptimized {
-			variants = append(variants, variant{a, true})
-		}
+		gr.cells = append(gr.cells, i)
 	}
+	base := newBaselineSet(cells, cache)
+	out := make([]Answer, len(cells))
 
-	base := NewBaselinesCached(scale, cache)
-	panels := make([]Figure3Panel, len(variants))
-	reports := make([]AnalyticReport, len(variants))
-	graphs := make([]*analytic.Graph, len(variants))
-	baselines := make([]sim.Time, len(variants))
-
-	// Phase 1: one recording (or cache load) per variant, plus its simulated
-	// single-cluster baseline and health self-check.
-	err := forEachWeighted(len(variants), nil,
-		func(v int) string {
-			return fmt.Sprintf("%s (%s) analytic reference", variants[v].app.Name, variantName(variants[v].opt))
-		},
-		func(v int) error {
-			va := variants[v]
-			label := fmt.Sprintf("%s (%s) analytic reference", va.app.Name, variantName(va.opt))
-			p := Figure3Panel{
-				App: va.app.Name, Optimized: va.opt,
-				Latencies: lats, Bandwidths: bws,
-				Rel: make([][]float64, len(lats)),
-			}
-			for i := range lats {
-				p.Rel[i] = make([]float64, len(bws))
-			}
-			ev, fail, rep, err := analyticEval(label, Experiment{
-				App: va.app, Scale: scale, Optimized: va.opt, Topo: topo,
-				Params: ReferenceParams(),
-			}, opts.Policy, cache, a)
-			if err != nil {
-				return err
-			}
-			tl, err := base.SingleCluster(va.app, topo.Procs())
-			if err != nil {
-				return err
-			}
-			baselines[v] = tl
-			if fail != nil {
-				// The one recording run failed, so every cell of this
-				// variant's panel is unanswerable.
-				p.Failed = make([][]string, len(lats))
-				for i := range lats {
-					p.Failed[i] = make([]string, len(bws))
-					for j := range bws {
-						p.Failed[i][j] = fail.Kind
-					}
+	refLabel := func(k int) string { return groups[k].label + " analytic reference" }
+	err := forEachWeighted(len(groups), nil, refLabel,
+		func(k int) error {
+			gr := groups[k]
+			ev, fail, rep, err := analyticEval(refLabel(k), gr.x, pol, cache, a.tolerance())
+			gr.rep = rep
+			if err != nil || fail != nil {
+				for _, i := range gr.cells {
+					out[i] = Answer{Fail: fail, Report: &gr.rep}
 				}
-				panels[v], reports[v] = p, rep
-				return nil
+				return err
 			}
-			graphs[v] = ev.Graph()
-			panels[v], reports[v] = p, rep
-			return nil
+			gr.g = ev.Graph()
+			gr.tl, err = base.of(gr.x)
+			return err
 		})
 	if err != nil {
-		return panels, reports, err
+		return nil, err
 	}
 
-	// Phase 2: solve the grids. The graph is read-only and every point is
-	// independent, so one task per variant hands its whole panel — every
-	// latency/bandwidth cell plus the latency-tolerance curve at the
-	// reference bandwidth — to the batched multi-point solver in a single
-	// pass. Variants still spread across the pool, heaviest graphs first.
-	var live []int
-	for v := range variants {
-		if graphs[v] != nil {
-			live = append(live, v)
+	var live []*group
+	for _, gr := range groups {
+		if gr.g != nil {
+			live = append(live, gr)
 		}
 	}
 	err = forEachWeighted(len(live),
-		func(k int) float64 { return float64(graphs[live[k]].Nodes()) },
-		func(k int) string {
-			v := live[k]
-			return fmt.Sprintf("%s (%s) analytic solve", variants[v].app.Name, variantName(variants[v].opt))
-		},
+		func(k int) float64 { return float64(live[k].g.Nodes()) },
+		func(k int) string { return live[k].label + " analytic solve" },
 		func(k int) error {
-			v := live[k]
-			ev := analytic.NewEval(graphs[v])
-			solve := analyticGridSolver(ev, reports[v], a)
-			pts := make([]network.Params, 0, len(lats)*len(bws)+len(Latencies))
-			for _, lat := range lats {
-				for _, bw := range bws {
-					pts = append(pts, network.DefaultParams().WithWAN(lat, bw))
-				}
+			gr := live[k]
+			n := len(gr.cells)
+			pts := make([]network.Params, 0, n+len(Latencies)+3)
+			for _, i := range gr.cells {
+				pts = append(pts, cells[i].X.Params)
 			}
 			for _, lat := range Latencies {
 				pts = append(pts, network.DefaultParams().WithWAN(lat, ReferenceWANBandwidth))
 			}
-			ts := solve(pts)
-			tl := baselines[v]
-			for i := range lats {
-				for j := range bws {
-					panels[v].Rel[i][j] = RelativeSpeedup(tl, ts[i*len(bws)+j])
-				}
+			ref := gr.g.Ref
+			zeroLat, infBW := ref, ref
+			zeroLat.WANLatency = 0
+			infBW.WANBandwidth = math.MaxFloat64
+			pts = append(pts, ref, zeroLat, infBW)
+			ts := solveBatch(analytic.NewEval(gr.g), gr.rep.Engine, pts)
+
+			for j, i := range gr.cells {
+				out[i] = Answer{Result: par.Result{Elapsed: ts[j]}, Baseline: gr.tl, Report: &gr.rep}
 			}
-			rep := &reports[v]
-			curve := ts[len(lats)*len(bws):]
-			for k, lat := range Latencies {
-				rel := RelativeSpeedup(tl, curve[k])
+			rep := &gr.rep
+			for j, lat := range Latencies {
+				rel := RelativeSpeedup(gr.tl, ts[n+j])
 				rep.LatencyTolerance = append(rep.LatencyTolerance, AnalyticTolerancePoint{Latency: lat, RelPct: rel})
 				if rel >= 60 {
 					rep.ToleratedLatency = lat
 				}
 			}
+			s := ts[len(ts)-3:]
+			sens := analytic.Sensitivity{Elapsed: s[0], LatencyCost: s[0] - s[1], BandwidthCost: s[0] - s[2]}
+			rep.LatencySharePct = 100 * sens.LatencyShare()
+			rep.BandwidthSharePct = 100 * sens.BandwidthShare()
 			return nil
 		})
-	return panels, reports, err
-}
-
-// Figure4AnalyticBandwidth is Figure4Bandwidth answered analytically from
-// the per-application reference graphs (best variant of each application,
-// as in the simulated figure).
-func Figure4AnalyticBandwidth(scale apps.Scale, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
-	return figure4Analytic(scale, true, pol, a)
-}
-
-// Figure4AnalyticLatency is Figure4Latency answered analytically.
-func Figure4AnalyticLatency(scale apps.Scale, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
-	return figure4Analytic(scale, false, pol, a)
-}
-
-func figure4Analytic(scale apps.Scale, byBandwidth bool, pol *RunPolicy, a AnalyticOptions) ([]Figure4Curve, error) {
-	const fixedLatency = 3300 * sim.Microsecond
-	const fixedBandwidth = 0.9e6
-	base := NewBaselines(scale)
-	suite := Apps()
-	curves := make([]Figure4Curve, len(suite))
-	err := forEachWeighted(len(suite), nil,
-		func(i int) string { return fmt.Sprintf("%s analytic figure4 curve", suite[i].Name) },
-		func(i int) error {
-			app := suite[i]
-			label := fmt.Sprintf("%s (%s) analytic reference", app.Name, variantName(app.HasOptimized))
-			ev, fail, rep, err := analyticEval(label, Experiment{
-				App: app, Scale: scale, Optimized: app.HasOptimized,
-				Topo: topology.DAS(), Params: ReferenceParams(),
-			}, pol, DefaultCache, a)
-			if err != nil {
-				return err
-			}
-			tl, err := base.SingleCluster(app, topology.DAS().Procs())
-			if err != nil {
-				return err
-			}
-			curve := Figure4Curve{App: app.Name, Optimized: app.HasOptimized}
-			var xs []float64
-			if byBandwidth {
-				xs = Bandwidths
-			} else {
-				for _, l := range Latencies {
-					xs = append(xs, l.Milliseconds())
-				}
-			}
-			var preds []sim.Time
-			if fail == nil {
-				pts := make([]network.Params, len(xs))
-				for k := range xs {
-					if byBandwidth {
-						pts[k] = network.DefaultParams().WithWAN(fixedLatency, xs[k])
-					} else {
-						pts[k] = network.DefaultParams().WithWAN(Latencies[k], fixedBandwidth)
-					}
-				}
-				preds = analyticGridSolver(ev, rep, a)(pts)
-			}
-			anyFailed := false
-			for k, x := range xs {
-				curve.X = append(curve.X, x)
-				if fail != nil {
-					anyFailed = true
-					curve.CommPct = append(curve.CommPct, 0)
-					curve.Failed = append(curve.Failed, fail.Kind)
-					continue
-				}
-				curve.CommPct = append(curve.CommPct, CommTimePercent(tl, preds[k]))
-				curve.Failed = append(curve.Failed, "")
-			}
-			if !anyFailed {
-				curve.Failed = nil
-			}
-			curves[i] = curve
-			return nil
-		})
-	return curves, err
-}
-
-// ClusterShapeStudyAnalytic is ClusterShapeStudy answered analytically:
-// one recording per (application, shape) at the reference point, then an
-// analytic solve at the asked wide-area setting.
-func ClusterShapeStudyAnalytic(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy, a AnalyticOptions) ([]ShapeResult, error) {
-	base := NewBaselines(scale)
-	shapes := DefaultShapes()
-	var suite []apps.Info
-	for _, n := range appNames {
-		a, err := AppByName(n)
-		if err != nil {
-			return nil, err
-		}
-		suite = append(suite, a)
+	if err != nil {
+		return nil, err
 	}
-	type cellKey struct{ app, shape int }
-	var cells []cellKey
-	for a := range suite {
-		for s := range shapes {
-			cells = append(cells, cellKey{a, s})
-		}
-		if _, err := base.SingleCluster(suite[a], 32); err != nil {
-			return nil, err
-		}
-	}
-	results := make([]ShapeResult, len(cells))
-	label := func(k int) string {
-		c := cells[k]
-		return fmt.Sprintf("%s shape=%s analytic reference", suite[c.app].Name, shapes[c.shape])
-	}
-	err := forEachWeighted(len(cells), nil, label, func(k int) error {
-		c := cells[k]
-		app, topo := suite[c.app], shapes[c.shape]
-		ev, fail, rep, err := analyticEval(label(k), Experiment{
-			App: app, Scale: scale, Optimized: app.HasOptimized, Topo: topo,
-			Params: ReferenceParams(),
-		}, pol, DefaultCache, a)
-		if err != nil {
-			return err
-		}
-		if fail != nil {
-			results[k] = ShapeResult{
-				App: app.Name, Shape: topo.String(),
-				Clusters: topo.Clusters(), Failed: fail.Kind,
-			}
-			return nil
-		}
-		tl, err := base.SingleCluster(app, 32)
-		if err != nil {
-			return err
-		}
-		pred := analyticGridSolver(ev, rep, a)([]network.Params{network.DefaultParams().WithWAN(wanLatency, wanBandwidth)})[0]
-		results[k] = ShapeResult{
-			App:      app.Name,
-			Shape:    topo.String(),
-			Clusters: topo.Clusters(),
-			Elapsed:  pred,
-			RelPct:   RelativeSpeedup(tl, pred),
-		}
-		return nil
-	})
-	return results, err
+	return out, nil
 }
 
 // RenderAnalyticReports formats the per-variant analytic summaries.

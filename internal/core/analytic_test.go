@@ -287,14 +287,17 @@ func TestAnalyticDifferential(t *testing.T) {
 				App: app, Scale: apps.Small, Optimized: g.Optimized,
 				Topo: topology.DAS(), Params: ReferenceParams(),
 			}
-			ev, fail, rep, err := analyticEval(goldenName(g)+" differential", x, nil, NewRunCache(), AnalyticOptions{})
+			ev, fail, rep, err := analyticEval(goldenName(g)+" differential", x, nil, NewRunCache(), DefaultAnalyticTolerance)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fail != nil {
 				t.Fatalf("recording failed: %+v", fail)
 			}
-			solve := analyticSolver(ev, rep)
+			solve := ev.SolveMatched
+			if rep.Engine == "frozen" {
+				solve = ev.Solve
+			}
 			worst := 0.0
 			for _, p := range points {
 				sx := x
@@ -319,10 +322,127 @@ func TestAnalyticDifferential(t *testing.T) {
 	}
 }
 
-// TestAnalyticBatchEqualsScalar pins the batched grid path against the
-// point-at-a-time loop on every golden variant: the recorded graph solved
-// over the full paper grid by SolveBatch and SolveMatchedBatch must be
-// bit-identical to scalar Solve and SolveMatched at each point.
+// scalarOracle answers experiments the point-at-a-time way — scalar
+// Eval.Solve or Eval.SolveMatched per point — which the analytic solver's
+// batched answers must match bit for bit. It re-derives each variant's
+// recording, engine calibration and baseline on its own, sharing only the
+// run cache with the solver under test (so nothing is recorded twice).
+type scalarOracle struct {
+	t     *testing.T
+	cache *RunCache
+	evs   map[RunKey]*oracleEval
+}
+
+type oracleEval struct {
+	ev     *analytic.Eval
+	frozen bool
+}
+
+func newScalarOracle(t *testing.T, cache *RunCache) *scalarOracle {
+	return &scalarOracle{t: t, cache: cache, evs: map[RunKey]*oracleEval{}}
+}
+
+// eval returns the evaluator of x's variant: its graph recorded at the
+// reference point, and whether the frozen engine passes calibration.
+func (o *scalarOracle) eval(x Experiment) *oracleEval {
+	o.t.Helper()
+	x.Params = ReferenceParams()
+	x.Verify = false
+	if e, ok := o.evs[x.Key()]; ok {
+		return e
+	}
+	g, fail, err := o.cache.RecordedGraph("scalar oracle", x, nil)
+	if err != nil || fail != nil {
+		o.t.Fatalf("oracle recording of %s: %v %v", x.App.Name, err, fail)
+	}
+	ev := analytic.NewEval(g)
+	e := &oracleEval{ev, ev.FrozenAccurate(analyticProbes(), DefaultAnalyticTolerance/3)}
+	o.evs[x.Key()] = e
+	return e
+}
+
+// elapsed is the scalar answer at x's own network point.
+func (o *scalarOracle) elapsed(x Experiment) sim.Time {
+	e := o.eval(x)
+	if e.frozen {
+		return e.ev.Solve(x.Params)
+	}
+	return e.ev.SolveMatched(x.Params)
+}
+
+func (o *scalarOracle) baseline(x Experiment) sim.Time {
+	o.t.Helper()
+	tl, err := NewBaselinesCached(x.Scale, o.cache).SingleCluster(x.App, x.Topo.Procs())
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	return tl
+}
+
+// checkReport compares a variant's report — engine, latency-tolerance
+// curve, reference-point sensitivity — against the scalar answers.
+func (o *scalarOracle) checkReport(x Experiment, rep *AnalyticReport) {
+	o.t.Helper()
+	if rep == nil {
+		o.t.Fatalf("%s: no analytic report", x.App.Name)
+	}
+	e := o.eval(x)
+	if want := map[bool]string{true: "frozen", false: "matched"}[e.frozen]; rep.Engine != want {
+		o.t.Errorf("%s: engine %s, oracle %s", x.App.Name, rep.Engine, want)
+	}
+	tl := o.baseline(x)
+	if len(rep.LatencyTolerance) != len(Latencies) {
+		o.t.Fatalf("%s: %d tolerance points, want %d", x.App.Name, len(rep.LatencyTolerance), len(Latencies))
+	}
+	for k, lat := range Latencies {
+		px := x
+		px.Params = network.DefaultParams().WithWAN(lat, ReferenceWANBandwidth)
+		if got, want := rep.LatencyTolerance[k].RelPct, RelativeSpeedup(tl, o.elapsed(px)); got != want {
+			o.t.Errorf("%s: tolerance at %v: %v, oracle %v", x.App.Name, lat, got, want)
+		}
+	}
+	sens := e.ev.SensitivityMatched(ReferenceParams())
+	if e.frozen {
+		sens = e.ev.Sensitivity(ReferenceParams())
+	}
+	if rep.LatencySharePct != 100*sens.LatencyShare() || rep.BandwidthSharePct != 100*sens.BandwidthShare() {
+		o.t.Errorf("%s: shares %v/%v, oracle %v/%v", x.App.Name, rep.LatencySharePct, rep.BandwidthSharePct,
+			100*sens.LatencyShare(), 100*sens.BandwidthShare())
+	}
+}
+
+// checkPanels compares every cell and report of Figure 3-shaped panels on
+// the DAS machine.
+func (o *scalarOracle) checkPanels(scale apps.Scale, panels []Figure3Panel) {
+	o.t.Helper()
+	if len(panels) == 0 {
+		o.t.Fatal("no panels")
+	}
+	for _, p := range panels {
+		app, err := AppByName(p.App)
+		if err != nil {
+			o.t.Fatal(err)
+		}
+		x := Experiment{App: app, Scale: scale, Optimized: p.Optimized, Topo: topology.DAS()}
+		o.checkReport(x, p.Report)
+		tl := o.baseline(x)
+		for i, lat := range p.Latencies {
+			for j, bw := range p.Bandwidths {
+				x.Params = network.DefaultParams().WithWAN(lat, bw)
+				if want := RelativeSpeedup(tl, o.elapsed(x)); p.Rel[i][j] != want || p.FailedAt(i, j) != "" {
+					o.t.Errorf("%s/%v at %v / %.3g B/s: %v (failed %q), oracle %v",
+						p.App, p.Optimized, lat, bw, p.Rel[i][j], p.FailedAt(i, j), want)
+				}
+			}
+		}
+	}
+}
+
+// TestAnalyticBatchEqualsScalar pins the analytic solver on every golden
+// variant: the full paper grid answered by the solver's one batched pass
+// must equal the scalar loop at every point. The two engines' batch paths
+// are checked against their scalar twins on the same graph as well, since
+// the solver exercises only the engine its calibration chose.
 func TestAnalyticBatchEqualsScalar(t *testing.T) {
 	var grid []network.Params
 	for _, lat := range Latencies {
@@ -335,58 +455,145 @@ func TestAnalyticBatchEqualsScalar(t *testing.T) {
 		t.Run(goldenName(g), func(t *testing.T) {
 			t.Parallel()
 			x := goldenExperiment(t, g)
-			rec := analytic.NewRecorder(x.Topo, x.Params)
-			x.Trace = rec
-			res, err := x.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			graph, err := rec.Finish(res.Elapsed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scalar := analytic.NewEval(graph)
-			wantF := make([]sim.Time, len(grid))
-			wantM := make([]sim.Time, len(grid))
+			cells := make([]Cell, len(grid))
 			for i, p := range grid {
-				wantF[i] = scalar.Solve(p)
-				wantM[i] = scalar.SolveMatched(p)
+				cells[i] = Cell{Label: goldenName(g), X: x}
+				cells[i].X.Params = p
 			}
-			batch := analytic.NewEval(graph)
+			cache := NewRunCache()
+			ans, err := Analytic{}.Solve(cells, nil, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := newScalarOracle(t, cache)
+			for i, c := range cells {
+				if want := o.elapsed(c.X); ans[i].Result.Elapsed != want || ans[i].Fail != nil {
+					t.Errorf("point %d (%v / %.3g B/s): %d (fail %v), scalar %d",
+						i, grid[i].WANLatency, grid[i].WANBandwidth, ans[i].Result.Elapsed, ans[i].Fail, want)
+				}
+			}
+			o.checkReport(x, ans[0].Report)
+
+			scalar := o.eval(x).ev
+			batch := analytic.NewEval(scalar.Graph())
 			gotF := batch.SolveBatch(grid)
 			gotM := batch.SolveMatchedBatch(grid, 3)
-			for i := range grid {
-				if gotF[i] != wantF[i] {
-					t.Errorf("SolveBatch point %d (%v / %.3g B/s): %d, scalar %d",
-						i, grid[i].WANLatency, grid[i].WANBandwidth, gotF[i], wantF[i])
+			for i, p := range grid {
+				if want := scalar.Solve(p); gotF[i] != want {
+					t.Errorf("SolveBatch point %d: %d, scalar %d", i, gotF[i], want)
 				}
-				if gotM[i] != wantM[i] {
-					t.Errorf("SolveMatchedBatch point %d (%v / %.3g B/s): %d, scalar %d",
-						i, grid[i].WANLatency, grid[i].WANBandwidth, gotM[i], wantM[i])
+				if want := scalar.SolveMatched(p); gotM[i] != want {
+					t.Errorf("SolveMatchedBatch point %d: %d, scalar %d", i, gotM[i], want)
 				}
 			}
 		})
 	}
 }
 
-// TestFigure3AnalyticBatchMatchesScalar runs the full analytic Figure 3
-// pipeline twice against one shared cache — batched solver and scalar
-// fallback — and requires identical panels and reports, end to end.
-func TestFigure3AnalyticBatchMatchesScalar(t *testing.T) {
-	cache := NewRunCache()
-	opts := Figure3Options{Apps: []string{"Water", "TSP"}, Cache: cache}
-	bPanels, bReports, err := Figure3Analytic(apps.Tiny, opts, AnalyticOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestAnalyticStudiesMatchOracle runs every study the analytic solver
+// answers and compares each answer with the scalar oracle: the Small
+// Figure 3 grid, a Tiny 16x16 heatmap lattice, both Figure 4 axes, the
+// cluster shapes, and a single `sweep -analytic` point.
+func TestAnalyticStudiesMatchOracle(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"figure3/small", func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("records every Small-scale variant; run without -short")
+			}
+			cache := NewRunCache()
+			panels, err := SolveFigure3(Analytic{}, apps.Small, Figure3Options{Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			newScalarOracle(t, cache).checkPanels(apps.Small, panels)
+		}},
+		{"heatmap/tiny16", func(t *testing.T) {
+			cache := NewRunCache()
+			panels, reports, err := Heatmap(apps.Tiny, HeatmapOptions{Size: 16, Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(reports) != len(panels) {
+				t.Errorf("%d reports for %d panels", len(reports), len(panels))
+			}
+			newScalarOracle(t, cache).checkPanels(apps.Tiny, panels)
+		}},
+		{"figure4", func(t *testing.T) {
+			o := newScalarOracle(t, DefaultCache)
+			for _, byBandwidth := range []bool{true, false} {
+				curves, err := SolveFigure4(Analytic{}, apps.Tiny, byBandwidth, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range curves {
+					app, err := AppByName(c.App)
+					if err != nil {
+						t.Fatal(err)
+					}
+					x := Experiment{App: app, Scale: apps.Tiny, Optimized: app.HasOptimized, Topo: topology.DAS()}
+					tl := o.baseline(x)
+					for k := range c.X {
+						if byBandwidth {
+							x.Params = network.DefaultParams().WithWAN(3300*sim.Microsecond, Bandwidths[k])
+						} else {
+							x.Params = network.DefaultParams().WithWAN(Latencies[k], 0.9e6)
+						}
+						if want := CommTimePercent(tl, o.elapsed(x)); c.CommPct[k] != want || c.Failed != nil {
+							t.Errorf("%s bandwidth-axis=%v point %d: %v (failed %v), oracle %v",
+								c.App, byBandwidth, k, c.CommPct[k], c.Failed, want)
+						}
+					}
+				}
+			}
+		}},
+		{"shapes", func(t *testing.T) {
+			o := newScalarOracle(t, DefaultCache)
+			params := network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6)
+			results, err := SolveClusterShapes(Analytic{}, apps.Tiny, []string{"Water", "ASP"},
+				params.WANLatency, params.WANBandwidth, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != 2*len(DefaultShapes()) {
+				t.Fatalf("%d results", len(results))
+			}
+			for k, r := range results {
+				app, err := AppByName(r.App)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x := Experiment{App: app, Scale: apps.Tiny, Optimized: app.HasOptimized,
+					Topo: DefaultShapes()[k%len(DefaultShapes())], Params: params}
+				want := o.elapsed(x)
+				if r.Elapsed != want || r.RelPct != RelativeSpeedup(o.baseline(x), want) || r.Failed != "" {
+					t.Errorf("%s %s: %v / %v%% (failed %q), oracle %v", r.App, r.Shape, r.Elapsed, r.RelPct, r.Failed, want)
+				}
+			}
+		}},
+		{"sweep-point", func(t *testing.T) {
+			app, err := AppByName("Water")
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := Experiment{App: app, Scale: apps.Tiny, Optimized: true, Verify: true,
+				Topo: topology.MustUniform(2, 4), Params: network.DefaultParams().WithWAN(30*sim.Millisecond, 0.3e6)}
+			cache := NewRunCache()
+			ans, err := Analytic{}.Solve([]Cell{{Label: "sweep point", X: x}}, nil, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := newScalarOracle(t, cache)
+			if want := o.elapsed(x); ans[0].Result.Elapsed != want || ans[0].Baseline != o.baseline(x) {
+				t.Errorf("answer %v (baseline %v), oracle %v (baseline %v)",
+					ans[0].Result.Elapsed, ans[0].Baseline, want, o.baseline(x))
+			}
+			o.checkReport(x, ans[0].Report)
+		}},
 	}
-	sPanels, sReports, err := Figure3Analytic(apps.Tiny, opts, AnalyticOptions{Scalar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bPanels, sPanels) {
-		t.Errorf("batched and scalar panels differ:\nbatched: %+v\nscalar:  %+v", bPanels, sPanels)
-	}
-	if !reflect.DeepEqual(bReports, sReports) {
-		t.Errorf("batched and scalar reports differ:\nbatched: %+v\nscalar:  %+v", bReports, sReports)
+	for _, c := range cases {
+		t.Run(c.name, c.run)
 	}
 }

@@ -112,31 +112,6 @@ type ChaosPoint struct {
 	Failed string `json:",omitempty"`
 }
 
-// chaosVariants mirrors the golden-run variant list: every application
-// unoptimized, plus the cluster-aware version where the paper has one.
-func chaosVariants() []struct {
-	app apps.Info
-	opt bool
-} {
-	var vs []struct {
-		app apps.Info
-		opt bool
-	}
-	for _, a := range Apps() {
-		vs = append(vs, struct {
-			app apps.Info
-			opt bool
-		}{a, false})
-		if a.HasOptimized {
-			vs = append(vs, struct {
-				app apps.Info
-				opt bool
-			}{a, true})
-		}
-	}
-	return vs
-}
-
 // ChaosStudy sweeps the fault grid over every application variant and
 // returns one point per (variant, drop rate, outage duration) cell, in
 // deterministic order: application (Table 1 order), then variant, then
@@ -146,71 +121,57 @@ func ChaosStudy(cfg ChaosConfig) ([]ChaosPoint, error) {
 	if err := cfg.Regime.Validate(); err != nil {
 		return nil, err
 	}
-	base := NewBaselinesCached(cfg.Scale, cfg.Cache)
-	variants := chaosVariants()
-	points := make([]ChaosPoint, len(variants)*len(cfg.Drops)*len(cfg.Outages))
-	cell := func(i int) (v struct {
-		app apps.Info
-		opt bool
-	}, drop float64, outage sim.Time) {
-		nd, no := len(cfg.Drops), len(cfg.Outages)
-		return variants[i/(nd*no)], cfg.Drops[i/no%nd], cfg.Outages[i%no]
-	}
-	label := func(i int) string {
-		v, drop, outage := cell(i)
-		return fmt.Sprintf("chaos %s (%s) drop=%g outage=%v",
-			v.app.Name, variantName(v.opt), drop, outage)
-	}
-	err := forEachWeighted(len(points),
-		func(i int) float64 {
-			// Unoptimized variants and heavier faults simulate more virtual
-			// time; start them first to keep the worker pool's tail short.
-			v, drop, outage := cell(i)
-			w := 1 + 20*drop + float64(outage)/float64(sim.Second)
-			if !v.opt {
-				w *= 3
-			}
-			return w
-		},
-		label,
-		func(i int) error {
-			v, drop, outage := cell(i)
-			f := faults.Params{DropRate: drop, Seed: cfg.Seed}
-			if outage > 0 {
-				f.OutagePeriod = cfg.OutagePeriod
-				f.OutageDuration = outage
-			}
-			res, fail, err := cfg.Policy.run(label(i), Experiment{
-				App: v.app, Scale: cfg.Scale, Optimized: v.opt,
-				Topo: cfg.Topo, Params: cfg.Params, WAN: cfg.WAN, Faults: f,
-				Regime: cfg.Regime,
-			}, cfg.Cache)
-			if err != nil {
-				return err
-			}
-			if fail != nil {
-				points[i] = ChaosPoint{
-					App: v.app.Name, Optimized: v.opt,
-					DropRate: drop, OutageDuration: outage,
-					Failed: fail.Kind,
+	var cells []Cell
+	for _, v := range paperVariants(nil) {
+		for _, drop := range cfg.Drops {
+			for _, outage := range cfg.Outages {
+				f := faults.Params{DropRate: drop, Seed: cfg.Seed}
+				if outage > 0 {
+					f.OutagePeriod = cfg.OutagePeriod
+					f.OutageDuration = outage
 				}
-				return nil
+				// Unoptimized variants and heavier faults simulate more
+				// virtual time; start them first to keep the worker pool's
+				// tail short.
+				w := 1 + 20*drop + float64(outage)/float64(sim.Second)
+				if !v.opt {
+					w *= 3
+				}
+				cells = append(cells, Cell{
+					Label: fmt.Sprintf("chaos %s (%s) drop=%g outage=%v",
+						v.app.Name, variantName(v.opt), drop, outage),
+					Weight: w,
+					X: Experiment{
+						App: v.app, Scale: cfg.Scale, Optimized: v.opt,
+						Topo: cfg.Topo, Params: cfg.Params, WAN: cfg.WAN, Faults: f,
+						Regime: cfg.Regime,
+					},
+				})
 			}
-			tl, err := base.SingleCluster(v.app, cfg.Topo.Procs())
-			if err != nil {
-				return err
-			}
-			points[i] = ChaosPoint{
-				App: v.app.Name, Optimized: v.opt,
-				DropRate: drop, OutageDuration: outage,
-				Elapsed:       res.Elapsed,
-				RelSpeedupPct: RelativeSpeedup(tl, res.Elapsed),
-				Transport:     res.Transport,
-				Faults:        res.Faults,
-			}
-			return nil
-		})
-	return points, err
+		}
+	}
+	ans, err := Simulate{}.Solve(cells, cfg.Policy, cfg.Cache)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]ChaosPoint, len(cells))
+	for i, a := range ans {
+		x := cells[i].X
+		p := ChaosPoint{
+			App: x.App.Name, Optimized: x.Optimized,
+			DropRate: x.Faults.DropRate, OutageDuration: x.Faults.OutageDuration,
+		}
+		if a.Fail != nil {
+			p.Failed = a.Fail.Kind
+		} else {
+			p.Elapsed = a.Result.Elapsed
+			p.RelSpeedupPct = a.RelPct()
+			p.Transport = a.Result.Transport
+			p.Faults = a.Result.Faults
+		}
+		points[i] = p
+	}
+	return points, nil
 }
 
 // ChaosThreshold is the summary row for one variant: the smallest injected
@@ -268,13 +229,6 @@ func ChaosThresholds(points []ChaosPoint) []ChaosThreshold {
 		out[i] = *rows[k]
 	}
 	return out
-}
-
-func variantName(optimized bool) string {
-	if optimized {
-		return "optimized"
-	}
-	return "unoptimized"
 }
 
 // RenderChaosSummary formats the thresholds as the study's headline table.

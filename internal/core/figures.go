@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
@@ -27,6 +28,9 @@ type Figure3Panel struct {
 	// or "" for a healthy cell. It is nil when every cell succeeded, so
 	// fully healthy sweeps keep their historical encoding.
 	Failed [][]string `json:",omitempty"`
+	// Report is the variant's analytic recording health and sensitivity
+	// when the Analytic solver answered the panel; nil when simulated.
+	Report *AnalyticReport `json:",omitempty"`
 }
 
 // Figure3Options narrows a sweep.
@@ -55,6 +59,11 @@ type Figure3Options struct {
 // contributes a single panel, as in the paper). Runs execute concurrently;
 // results are deterministic regardless.
 func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
+	return SolveFigure3(Simulate{}, scale, opts)
+}
+
+// SolveFigure3 is Figure3 answered through solver s.
+func SolveFigure3(s Solver, scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
 	lats := opts.Latencies
 	if lats == nil {
 		lats = Latencies
@@ -72,111 +81,82 @@ func Figure3(scale apps.Scale, opts Figure3Options) ([]Figure3Panel, error) {
 		cache = DefaultCache
 	}
 
-	type variant struct {
-		app apps.Info
-		opt bool
-	}
-	var variants []variant
-	for _, a := range Apps() {
-		if len(opts.Apps) > 0 && !nameIn(opts.Apps, a.Name) {
-			continue
-		}
-		variants = append(variants, variant{a, false})
-		if a.HasOptimized {
-			variants = append(variants, variant{a, true})
-		}
-	}
-
+	variants := paperVariants(opts.Apps)
 	base := NewBaselinesCached(scale, cache)
-	panels := make([]Figure3Panel, len(variants))
-	baseElapsed := make([]sim.Time, len(variants))
-	type cell struct{ v, i, j int }
-	var cells []cell
-	for v := range variants {
-		panels[v] = Figure3Panel{
-			App:        variants[v].app.Name,
-			Optimized:  variants[v].opt,
-			Latencies:  lats,
-			Bandwidths: bws,
-			Rel:        make([][]float64, len(lats)),
-			Failed:     make([][]string, len(lats)),
-		}
-		for i := range lats {
-			panels[v].Rel[i] = make([]float64, len(bws))
-			panels[v].Failed[i] = make([]string, len(bws))
-			for j := range bws {
-				cells = append(cells, cell{v, i, j})
-			}
-		}
-		// Warm the baseline cache sequentially to avoid duplicate runs.
-		tl, err := base.SingleCluster(variants[v].app, topo.Procs())
+	var cells []Cell
+	for _, v := range variants {
+		// The baseline weighs the variant's cells; warming it
+		// sequentially also avoids duplicate runs.
+		tl, err := base.SingleCluster(v.app, topo.Procs())
 		if err != nil {
 			return nil, err
 		}
-		baseElapsed[v] = tl
-	}
-
-	// Longest-job-first: a cell's wall-clock cost grows with the
-	// application's baseline runtime and with the wide-area latency (slow
-	// links stretch the simulated execution, which the simulator must step
-	// through). The product is a crude but monotone proxy.
-	weight := func(k int) float64 {
-		c := cells[k]
-		return float64(baseElapsed[c.v]) * (1 + float64(lats[c.i]))
-	}
-	label := func(k int) string {
-		c := cells[k]
-		v := variants[c.v]
-		return fmt.Sprintf("%s (%s) lat=%v bw=%gMB/s",
-			v.app.Name, variantName(v.opt), lats[c.i], bws[c.j]/1e6)
-	}
-	err := forEachWeighted(len(cells), weight, label, func(k int) error {
-		c := cells[k]
-		v := variants[c.v]
-		res, fail, err := opts.Policy.run(label(k), Experiment{
-			App: v.app, Scale: scale, Optimized: v.opt, Topo: topo,
-			Params: network.DefaultParams().WithWAN(lats[c.i], bws[c.j]),
-			WAN:    opts.WAN,
-		}, cache)
-		if err != nil {
-			return err
-		}
-		if fail != nil {
-			panels[c.v].Failed[c.i][c.j] = fail.Kind
-			return nil
-		}
-		tl, err := base.SingleCluster(v.app, topo.Procs())
-		if err != nil {
-			return err
-		}
-		panels[c.v].Rel[c.i][c.j] = RelativeSpeedup(tl, res.Elapsed)
-		return nil
-	})
-	// A fully healthy panel drops its Failed grid, keeping the historical
-	// shape (and JSON encoding) for sweeps that never fail.
-	for v := range panels {
-		healthy := true
-		for _, row := range panels[v].Failed {
-			for _, r := range row {
-				if r != "" {
-					healthy = false
-				}
+		for _, lat := range lats {
+			for _, bw := range bws {
+				cells = append(cells, Cell{
+					Label: fmt.Sprintf("%s (%s) lat=%v bw=%gMB/s",
+						v.app.Name, variantName(v.opt), lat, bw/1e6),
+					// Longest-job-first: a cell's wall-clock cost grows
+					// with the application's baseline runtime and with the
+					// wide-area latency (slow links stretch the simulated
+					// execution, which the simulator must step through).
+					// The product is a crude but monotone proxy.
+					Weight: float64(tl) * (1 + float64(lat)),
+					X: Experiment{
+						App: v.app, Scale: scale, Optimized: v.opt, Topo: topo,
+						Params: network.DefaultParams().WithWAN(lat, bw),
+						WAN:    opts.WAN,
+					},
+				})
 			}
 		}
-		if healthy {
-			panels[v].Failed = nil
-		}
 	}
-	return panels, err
+	ans, err := s.Solve(cells, opts.Policy, cache)
+	if err != nil {
+		return nil, err
+	}
+	panels := make([]Figure3Panel, len(variants))
+	for v, va := range variants {
+		p := Figure3Panel{
+			App: va.app.Name, Optimized: va.opt,
+			Latencies: lats, Bandwidths: bws,
+			Rel: make([][]float64, len(lats)),
+		}
+		for i := range lats {
+			p.Rel[i] = make([]float64, len(bws))
+			for j := range bws {
+				a := ans[(v*len(lats)+i)*len(bws)+j]
+				p.Report = a.Report
+				if a.Fail == nil {
+					p.Rel[i][j] = a.RelPct()
+					continue
+				}
+				// Only a panel with a failure carries a Failed grid, keeping
+				// the historical shape (and JSON encoding) for healthy ones.
+				if p.Failed == nil {
+					p.Failed = make([][]string, len(lats))
+					for k := range p.Failed {
+						p.Failed[k] = make([]string, len(bws))
+					}
+				}
+				p.Failed[i][j] = a.Fail.Kind
+			}
+		}
+		panels[v] = p
+	}
+	return panels, nil
 }
 
-func nameIn(names []string, n string) bool {
-	for _, x := range names {
-		if x == n {
-			return true
+// PanelReports returns the analytic reports the panels carry, in panel
+// order; empty for simulated panels.
+func PanelReports(panels []Figure3Panel) []AnalyticReport {
+	var reps []AnalyticReport
+	for _, p := range panels {
+		if p.Report != nil {
+			reps = append(reps, *p.Report)
 		}
 	}
-	return false
+	return reps
 }
 
 // RenderFigure3Panel formats one panel as a latency x bandwidth table of
@@ -232,72 +212,66 @@ type Figure4Curve struct {
 // for the best (optimized where available) variant of each application.
 // pol supervises the sweep; nil runs unsupervised.
 func Figure4Bandwidth(scale apps.Scale, pol *RunPolicy) ([]Figure4Curve, error) {
-	return figure4(scale, true, pol)
+	return SolveFigure4(Simulate{}, scale, true, pol)
 }
 
 // Figure4Latency reproduces the right-hand graph: communication time
 // percentage as a function of wide-area latency at 0.9 MByte/s.
 func Figure4Latency(scale apps.Scale, pol *RunPolicy) ([]Figure4Curve, error) {
-	return figure4(scale, false, pol)
+	return SolveFigure4(Simulate{}, scale, false, pol)
 }
 
-func figure4(scale apps.Scale, byBandwidth bool, pol *RunPolicy) ([]Figure4Curve, error) {
+// SolveFigure4 answers one Figure 4 graph — the bandwidth axis at 3.3 ms,
+// or the latency axis at 0.9 MByte/s — through solver s.
+func SolveFigure4(s Solver, scale apps.Scale, byBandwidth bool, pol *RunPolicy) ([]Figure4Curve, error) {
 	const fixedLatency = 3300 * sim.Microsecond
 	const fixedBandwidth = 0.9e6
-	base := NewBaselines(scale)
+	xs := Bandwidths
+	if !byBandwidth {
+		xs = nil
+		for _, l := range Latencies {
+			xs = append(xs, l.Milliseconds())
+		}
+	}
 	suite := Apps()
-	curves := make([]Figure4Curve, len(suite))
-	err := forEachWeighted(len(suite), nil,
-		func(i int) string { return fmt.Sprintf("%s figure4 curve", suite[i].Name) },
-		func(i int) error {
-			app := suite[i]
-			tl, err := base.SingleCluster(app, topology.DAS().Procs())
-			if err != nil {
-				return err
+	var cells []Cell
+	for _, app := range suite {
+		for k, x := range xs {
+			params := network.DefaultParams().WithWAN(fixedLatency, x)
+			if !byBandwidth {
+				params = network.DefaultParams().WithWAN(Latencies[k], fixedBandwidth)
 			}
-			curve := Figure4Curve{App: app.Name, Optimized: app.HasOptimized}
-			var xs []float64
-			if byBandwidth {
-				xs = Bandwidths
-			} else {
-				for _, l := range Latencies {
-					xs = append(xs, l.Milliseconds())
-				}
-			}
-			anyFailed := false
-			for k, x := range xs {
-				params := network.DefaultParams()
-				if byBandwidth {
-					params = params.WithWAN(fixedLatency, x)
-				} else {
-					params = params.WithWAN(Latencies[k], fixedBandwidth)
-				}
-				label := fmt.Sprintf("%s (%s) figure4 x=%g",
-					app.Name, variantName(app.HasOptimized), x)
-				res, fail, err := pol.run(label, Experiment{
+			cells = append(cells, Cell{
+				Label: fmt.Sprintf("%s (%s) figure4 x=%g", app.Name, variantName(app.HasOptimized), x),
+				X: Experiment{
 					App: app, Scale: scale, Optimized: app.HasOptimized,
 					Topo: topology.DAS(), Params: params,
-				}, DefaultCache)
-				if err != nil {
-					return err
-				}
-				curve.X = append(curve.X, x)
-				if fail != nil {
-					anyFailed = true
-					curve.CommPct = append(curve.CommPct, 0)
-					curve.Failed = append(curve.Failed, fail.Kind)
-					continue
-				}
-				curve.CommPct = append(curve.CommPct, CommTimePercent(tl, res.Elapsed))
-				curve.Failed = append(curve.Failed, "")
+				},
+			})
+		}
+	}
+	ans, err := s.Solve(cells, pol, DefaultCache)
+	if err != nil {
+		return nil, err
+	}
+	curves := make([]Figure4Curve, len(suite))
+	for i, app := range suite {
+		c := Figure4Curve{App: app.Name, Optimized: app.HasOptimized, X: slices.Clone(xs)}
+		for k := range xs {
+			a := ans[i*len(xs)+k]
+			if a.Fail == nil {
+				c.CommPct = append(c.CommPct, CommTimePercent(a.Baseline, a.Result.Elapsed))
+				continue
 			}
-			if !anyFailed {
-				curve.Failed = nil
+			if c.Failed == nil {
+				c.Failed = make([]string, len(xs))
 			}
-			curves[i] = curve
-			return nil
-		})
-	return curves, err
+			c.CommPct = append(c.CommPct, 0)
+			c.Failed[k] = a.Fail.Kind
+		}
+		curves[i] = c
+	}
+	return curves, nil
 }
 
 // RenderFigure4 formats a set of curves as a table with one column per

@@ -61,14 +61,15 @@ type HeatmapOptions struct {
 	Cache *RunCache
 	// Policy supervises the recording runs.
 	Policy *RunPolicy
-	// Analytic carries the solver options (tolerance, scalar A/B switch).
-	Analytic AnalyticOptions
+	// Analytic is the solver that answers the lattice.
+	Analytic Analytic
 }
 
 // Heatmap solves the dense per-variant sensitivity lattice analytically.
-// It is Figure3Analytic on log-spaced axes: one recording per variant at
-// the reference point, then Size x Size wide-area cells per variant
-// through the batched solver.
+// It is Figure 3 on log-spaced axes through the Analytic solver: one
+// recording per variant at the reference point, then Size x Size
+// wide-area cells per variant in one batched pass. Alongside the panels it
+// returns one AnalyticReport per variant.
 func Heatmap(scale apps.Scale, opts HeatmapOptions) ([]Figure3Panel, []AnalyticReport, error) {
 	n := opts.Size
 	if n == 0 {
@@ -77,13 +78,22 @@ func Heatmap(scale apps.Scale, opts HeatmapOptions) ([]Figure3Panel, []AnalyticR
 	if n < 2 {
 		return nil, nil, fmt.Errorf("core: heatmap needs at least a 2x2 lattice, got size %d", n)
 	}
-	return Figure3Analytic(scale, Figure3Options{
+	panels, err := SolveFigure3(opts.Analytic, scale, Figure3Options{
 		Apps:       opts.Apps,
 		Latencies:  HeatmapLatencies(n),
 		Bandwidths: HeatmapBandwidths(n),
 		Cache:      opts.Cache,
 		Policy:     opts.Policy,
-	}, opts.Analytic)
+	})
+	return panels, PanelReports(panels), err
+}
+
+// WriteFigure3CSV emits one panel as CSV under its own header row, the
+// `figures -fig3 -csv` format.
+func WriteFigure3CSV(w io.Writer, p Figure3Panel) {
+	t := newPanelTable()
+	addPanelRows(t, p, "%.4g")
+	t.CSV(w)
 }
 
 // WriteHeatmapCSV emits the heatmap panels as one flat CSV (the same
@@ -91,24 +101,29 @@ func Heatmap(scale apps.Scale, opts HeatmapOptions) ([]Figure3Panel, []AnalyticR
 // both). Cell order — variant, then latency, then bandwidth — and number
 // formatting are fixed, so identical panels produce identical bytes.
 func WriteHeatmapCSV(w io.Writer, panels []Figure3Panel) {
-	t := stats.NewTable("app", "variant", "latency_ms", "bandwidth_MBs", "relative_speedup_pct")
+	t := newPanelTable()
 	for _, p := range panels {
-		variant := "unoptimized"
-		if p.Optimized {
-			variant = "optimized"
-		}
-		for i, lat := range p.Latencies {
-			for j, bw := range p.Bandwidths {
-				value := fmt.Sprintf("%.2f", p.Rel[i][j])
-				if k := p.FailedAt(i, j); k != "" {
-					value = FailedCell(k)
-				}
-				t.AddRow(p.App, variant,
-					fmt.Sprintf("%.6g", lat.Milliseconds()),
-					fmt.Sprintf("%.6g", bw/1e6),
-					value)
-			}
-		}
+		addPanelRows(t, p, "%.6g")
 	}
 	t.CSV(w)
+}
+
+func newPanelTable() *stats.Table {
+	return stats.NewTable("app", "variant", "latency_ms", "bandwidth_MBs", "relative_speedup_pct")
+}
+
+// addPanelRows appends one row per cell, the axes formatted with axisFmt.
+func addPanelRows(t *stats.Table, p Figure3Panel, axisFmt string) {
+	for i, lat := range p.Latencies {
+		for j, bw := range p.Bandwidths {
+			value := fmt.Sprintf("%.2f", p.Rel[i][j])
+			if k := p.FailedAt(i, j); k != "" {
+				value = FailedCell(k)
+			}
+			t.AddRow(p.App, variantName(p.Optimized),
+				fmt.Sprintf(axisFmt, lat.Milliseconds()),
+				fmt.Sprintf(axisFmt, bw/1e6),
+				value)
+		}
+	}
 }

@@ -158,14 +158,6 @@ func (p *RunPolicy) backoff(label string, attempt int) {
 	}
 }
 
-// SupervisedRun executes one experiment under the policy, for callers
-// outside the sweep layer (the single-run CLI). Semantics are exactly
-// run's: result, or *CellFailure for a supervised kill, or a harness
-// error. A nil policy degrades to a plain cached run.
-func SupervisedRun(p *RunPolicy, label string, x Experiment, cache *RunCache) (par.Result, *CellFailure, error) {
-	return p.run(label, x, cache)
-}
-
 // FailureReport renders the failure's full diagnostic dump — per-process
 // block reasons, mailbox depths, reliable-channel windows — when the
 // underlying error carries one (a *sim.RunError); "" otherwise.

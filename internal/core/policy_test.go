@@ -218,6 +218,41 @@ func TestFigure3FailedCells(t *testing.T) {
 	}
 }
 
+// TestFailedVariantBothSolvers: when the policy gives up, every cell of
+// the variant comes back FAILED(kind) from either solver — cell by cell
+// when simulating, through the one failed recording when analytic.
+func TestFailedVariantBothSolvers(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, s := range []Solver{Simulate{}, Analytic{}} {
+		panels, err := SolveFigure3(s, apps.Tiny, Figure3Options{
+			Apps:       []string{"TSP"},
+			Latencies:  []sim.Time{500 * sim.Microsecond, 30 * sim.Millisecond},
+			Bandwidths: []float64{6.3e6, 0.3e6},
+			Cache:      NewRunCache(),
+			Policy:     &RunPolicy{Ctx: ctx},
+		})
+		if err != nil {
+			t.Fatalf("%T: %v", s, err)
+		}
+		if len(panels) != 2 {
+			t.Fatalf("%T: %d panels, want TSP unoptimized and optimized", s, len(panels))
+		}
+		for _, p := range panels {
+			for i := range p.Latencies {
+				for j := range p.Bandwidths {
+					if k := p.FailedAt(i, j); k != "deadline" {
+						t.Errorf("%T %s/%v cell (%d,%d): FailedAt=%q, want deadline", s, p.App, p.Optimized, i, j, k)
+					}
+				}
+			}
+			if r := RenderFigure3Panel(p); strings.Count(r, "FAILED(deadline)") != 4 {
+				t.Errorf("%T: render misses FAILED markers:\n%s", s, r)
+			}
+		}
+	}
+}
+
 // TestPolicyBudgetsInvisible: a sweep that completes within generous
 // budgets must produce results identical to an unsupervised one (budgets
 // are pure observation, and deliberately not part of the cache key).

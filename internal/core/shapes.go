@@ -39,62 +39,44 @@ func DefaultShapes() []*topology.Topology {
 // up even though fast links were replaced by slow ones. pol supervises the
 // sweep; nil runs unsupervised.
 func ClusterShapeStudy(scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy) ([]ShapeResult, error) {
-	base := NewBaselines(scale)
-	shapes := DefaultShapes()
-	type cellKey struct{ app, shape int }
-	var suite []apps.Info
+	return SolveClusterShapes(Simulate{}, scale, appNames, wanLatency, wanBandwidth, pol)
+}
+
+// SolveClusterShapes is ClusterShapeStudy answered through solver s.
+func SolveClusterShapes(s Solver, scale apps.Scale, appNames []string, wanLatency sim.Time, wanBandwidth float64, pol *RunPolicy) ([]ShapeResult, error) {
+	var cells []Cell
 	for _, n := range appNames {
-		a, err := AppByName(n)
+		app, err := AppByName(n)
 		if err != nil {
 			return nil, err
 		}
-		suite = append(suite, a)
+		for _, topo := range DefaultShapes() {
+			cells = append(cells, Cell{
+				Label: fmt.Sprintf("%s shape=%s", app.Name, topo),
+				X: Experiment{
+					App: app, Scale: scale, Optimized: app.HasOptimized, Topo: topo,
+					Params: network.DefaultParams().WithWAN(wanLatency, wanBandwidth),
+				},
+			})
+		}
 	}
-	var cells []cellKey
-	for a := range suite {
-		for s := range shapes {
-			cells = append(cells, cellKey{a, s})
-		}
-		if _, err := base.SingleCluster(suite[a], 32); err != nil {
-			return nil, err
-		}
+	ans, err := s.Solve(cells, pol, DefaultCache)
+	if err != nil {
+		return nil, err
 	}
 	results := make([]ShapeResult, len(cells))
-	label := func(k int) string {
-		c := cells[k]
-		return fmt.Sprintf("%s shape=%s", suite[c.app].Name, shapes[c.shape])
+	for k, a := range ans {
+		x := cells[k].X
+		r := ShapeResult{App: x.App.Name, Shape: x.Topo.String(), Clusters: x.Topo.Clusters()}
+		if a.Fail != nil {
+			r.Failed = a.Fail.Kind
+		} else {
+			r.Elapsed = a.Result.Elapsed
+			r.RelPct = a.RelPct()
+		}
+		results[k] = r
 	}
-	err := forEachWeighted(len(cells), nil, label, func(k int) error {
-		c := cells[k]
-		app, topo := suite[c.app], shapes[c.shape]
-		res, fail, err := pol.run(label(k), Experiment{
-			App: app, Scale: scale, Optimized: app.HasOptimized, Topo: topo,
-			Params: network.DefaultParams().WithWAN(wanLatency, wanBandwidth),
-		}, DefaultCache)
-		if err != nil {
-			return err
-		}
-		if fail != nil {
-			results[k] = ShapeResult{
-				App: app.Name, Shape: topo.String(),
-				Clusters: topo.Clusters(), Failed: fail.Kind,
-			}
-			return nil
-		}
-		tl, err := base.SingleCluster(app, 32)
-		if err != nil {
-			return err
-		}
-		results[k] = ShapeResult{
-			App:      app.Name,
-			Shape:    topo.String(),
-			Clusters: topo.Clusters(),
-			Elapsed:  res.Elapsed,
-			RelPct:   RelativeSpeedup(tl, res.Elapsed),
-		}
-		return nil
-	})
-	return results, err
+	return results, nil
 }
 
 // RenderShapes formats the study.

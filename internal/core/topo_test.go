@@ -122,7 +122,7 @@ func TestMultiHopRefusals(t *testing.T) {
 	if _, err := x.Run(); err == nil || !strings.Contains(err.Error(), "clique") {
 		t.Errorf("Configure on ring: err = %v, want clique refusal", err)
 	}
-	if _, _, err := Figure3Analytic(apps.Tiny, Figure3Options{WAN: ring}, AnalyticOptions{}); err == nil ||
+	if _, err := SolveFigure3(Analytic{}, apps.Tiny, Figure3Options{Apps: []string{"ASP"}, WAN: ring}); err == nil ||
 		!strings.Contains(err.Error(), "clique") {
 		t.Errorf("analytic on ring: err = %v, want clique refusal", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"twolayer/internal/apps"
 	"twolayer/internal/network"
@@ -147,63 +148,48 @@ func TopologyStudy(cfg TopologyStudyConfig) ([]TopologyPoint, error) {
 		}
 	}
 
-	base := NewBaselinesCached(cfg.Scale, cfg.Cache)
+	var cells []Cell
 	for _, a := range suite {
-		if _, err := base.SingleCluster(a, cfg.Procs); err != nil {
-			return nil, err
+		for _, m := range machines {
+			cells = append(cells, Cell{
+				Label: fmt.Sprintf("%s shape=%s wan=%s", a.Name, m.topo, m.wan.Spec()),
+				// Sparser graphs stretch virtual time (multi-hop latency)
+				// and more clusters mean more wide-area traffic; both scale
+				// the event count the simulator must step through.
+				Weight: float64(m.topo.Clusters()) * m.wan.MeanPathLength(),
+				X: Experiment{
+					App: a, Scale: cfg.Scale, Optimized: a.HasOptimized,
+					Topo:   m.topo,
+					Params: network.DefaultParams().WithWAN(cfg.WANLatency, cfg.WANBandwidth),
+					WAN:    m.wan,
+				},
+			})
 		}
 	}
-
-	points := make([]TopologyPoint, len(suite)*len(machines))
-	cell := func(i int) (apps.Info, machine) {
-		return suite[i/len(machines)], machines[i%len(machines)]
+	ans, err := Simulate{}.Solve(cells, cfg.Policy, cfg.Cache)
+	if err != nil {
+		return nil, err
 	}
-	label := func(i int) string {
-		a, m := cell(i)
-		return fmt.Sprintf("%s shape=%s wan=%s", a.Name, m.topo, m.wan.Spec())
+	points := make([]TopologyPoint, len(cells))
+	for i, a := range ans {
+		m := machines[i%len(machines)]
+		p := TopologyPoint{
+			App: cells[i].X.App.Name, Topology: m.wan.Spec(), Family: m.family,
+			Clusters: m.topo.Clusters(), Shape: m.topo.String(),
+			Diameter:       m.wan.Diameter(),
+			MeanPath:       m.wan.MeanPathLength(),
+			BisectionLinks: m.wan.BisectionLinks(),
+		}
+		if a.Fail != nil {
+			p.Failed = a.Fail.Kind
+		} else {
+			p.Elapsed = a.Result.Elapsed
+			p.RelPct = a.RelPct()
+			p.WANBytes = a.Result.WAN.Bytes
+		}
+		points[i] = p
 	}
-	err := forEachWeighted(len(points),
-		func(i int) float64 {
-			// Sparser graphs stretch virtual time (multi-hop latency) and
-			// more clusters mean more wide-area traffic; both scale the
-			// event count the simulator must step through.
-			_, m := cell(i)
-			return float64(m.topo.Clusters()) * m.wan.MeanPathLength()
-		},
-		label,
-		func(i int) error {
-			a, m := cell(i)
-			res, fail, err := cfg.Policy.run(label(i), Experiment{
-				App: a, Scale: cfg.Scale, Optimized: a.HasOptimized,
-				Topo:   m.topo,
-				Params: network.DefaultParams().WithWAN(cfg.WANLatency, cfg.WANBandwidth),
-				WAN:    m.wan,
-			}, cfg.Cache)
-			if err != nil {
-				return err
-			}
-			p := TopologyPoint{
-				App: a.Name, Topology: m.wan.Spec(), Family: m.family,
-				Clusters: m.topo.Clusters(), Shape: m.topo.String(),
-				Diameter:       m.wan.Diameter(),
-				MeanPath:       m.wan.MeanPathLength(),
-				BisectionLinks: m.wan.BisectionLinks(),
-			}
-			if fail != nil {
-				p.Failed = fail.Kind
-			} else {
-				tl, err := base.SingleCluster(a, cfg.Procs)
-				if err != nil {
-					return err
-				}
-				p.Elapsed = res.Elapsed
-				p.RelPct = RelativeSpeedup(tl, res.Elapsed)
-				p.WANBytes = res.WAN.Bytes
-			}
-			points[i] = p
-			return nil
-		})
-	return points, err
+	return points, nil
 }
 
 // RenderTopologyStudy formats the study: first the graph metrics per
@@ -229,10 +215,10 @@ func RenderTopologyStudy(points []TopologyPoint) string {
 			graphs[gk] = p
 			graphOrder = append(graphOrder, gk)
 		}
-		if !nameIn(appOrder, p.App) {
+		if !slices.Contains(appOrder, p.App) {
 			appOrder = append(appOrder, p.App)
 		}
-		if !nameIn(specOrder, p.Family) {
+		if !slices.Contains(specOrder, p.Family) {
 			specOrder = append(specOrder, p.Family)
 		}
 	}

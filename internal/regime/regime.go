@@ -61,7 +61,9 @@ type Params struct {
 	//	    Force the reliable transport on even without churn, so regime
 	//	    comparisons measure the same protocol stack.
 	//
-	// Example: "diurnal:400ms:8+churn:1s:250ms".
+	// Example: "diurnal:400ms:8+churn:1s:250ms". Validate bounds every
+	// argument: at most 4096 flows, durations of at most 24h, and FACTOR
+	// and INTENSITY of at most 1e6.
 	Spec string
 	// Seed drives every seeded choice (phases, churn victims, flow
 	// endpoints). Runs with equal seeds see identical conditions.
@@ -111,6 +113,16 @@ type churnClause struct {
 	down   sim.Time
 }
 
+// Upper bounds on clause arguments. A spec that passes Validate must bind
+// to a plan without an unbounded allocation (one slot per congestion flow)
+// and keep every phase-shifted virtual time far from int64 overflow; the
+// factor bounds keep every scale finite.
+const (
+	maxFlows    = 4096
+	maxDuration = 24 * time.Hour
+	maxFactor   = 1e6
+)
+
 // parseSpec parses the clause grammar; see Params.Spec.
 func parseSpec(spec string) (clauses, error) {
 	var cl clauses
@@ -123,7 +135,7 @@ func parseSpec(spec string) (clauses, error) {
 			}
 			d := &diurnalClause{period: sim.Second, factor: 8}
 			if err := parseArgs(part, fields[1:],
-				durArg(&d.period, "period"), floatArg(&d.factor, "factor")); err != nil {
+				durArg(&d.period, "period"), floatArg(&d.factor, "factor", maxFactor)); err != nil {
 				return cl, err
 			}
 			if d.factor < 1 {
@@ -136,7 +148,7 @@ func parseSpec(spec string) (clauses, error) {
 			}
 			c := &congestionClause{intensity: 4, period: 500 * sim.Millisecond}
 			if err := parseArgs(part, fields[1:],
-				intArg(&c.flows, "flows"), floatArg(&c.intensity, "intensity"), durArg(&c.period, "period")); err != nil {
+				intArg(&c.flows, "flows", maxFlows), floatArg(&c.intensity, "intensity", maxFactor), durArg(&c.period, "period")); err != nil {
 				return cl, err
 			}
 			if c.flows < 0 {
@@ -191,12 +203,15 @@ func durArg(dst *sim.Time, name string) argSetter {
 		if d <= 0 {
 			return fmt.Errorf("must be positive, got %v", d)
 		}
+		if d > maxDuration {
+			return fmt.Errorf("must be at most %v, got %v", maxDuration, d)
+		}
 		*dst = sim.Time(d.Nanoseconds())
 		return nil
 	}}
 }
 
-func floatArg(dst *float64, name string) argSetter {
+func floatArg(dst *float64, name string, max float64) argSetter {
 	return argSetter{name, func(s string) error {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
@@ -205,16 +220,22 @@ func floatArg(dst *float64, name string) argSetter {
 		if v != v {
 			return fmt.Errorf("must not be NaN")
 		}
+		if v > max {
+			return fmt.Errorf("must be at most %g, got %g", max, v)
+		}
 		*dst = v
 		return nil
 	}}
 }
 
-func intArg(dst *int, name string) argSetter {
+func intArg(dst *int, name string, max int) argSetter {
 	return argSetter{name, func(s string) error {
 		v, err := strconv.Atoi(s)
 		if err != nil {
 			return err
+		}
+		if v > max {
+			return fmt.Errorf("must be at most %d, got %d", max, v)
 		}
 		*dst = v
 		return nil

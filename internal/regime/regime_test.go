@@ -48,6 +48,14 @@ func TestValidate(t *testing.T) {
 		{Params{Spec: "churn:1s:1s"}, "shorter than the period"},
 		{Params{Spec: "churn:1s:2s"}, "shorter than the period"},
 		{Params{Spec: "rel:1"}, "takes no arguments"},
+		// Merely large values must fail validation, not the plan binding.
+		{Params{Spec: "congestion:2000000000000000"}, "bad flows"},
+		{Params{Spec: "congestion:4097"}, "at most 4096"},
+		{Params{Spec: "congestion:4:1e300"}, "bad intensity"},
+		{Params{Spec: "congestion:4:4:25h"}, "at most 24h"},
+		{Params{Spec: "diurnal:1s:Inf"}, "bad factor"},
+		{Params{Spec: "churn:1000000h"}, "bad period"},
+		{Params{Spec: "churn:1s:25h"}, "at most 24h"},
 	}
 	for _, tc := range invalid {
 		err := tc.p.Validate()
