@@ -12,10 +12,11 @@ import (
 // set: the in-run worker count for cluster-parallel (PDES) execution.
 // Parse flags, then pass the value to ApplyWorkers.
 func RegisterWorkers() *int {
-	return flag.Int("workers", -1,
-		"in-run workers for cluster-parallel execution: 0 = sequential, "+
-			"-1 = auto (GOMAXPROCS, capped); the sweep pool divides the machine "+
-			"by this so workers x concurrent cells stays near the core count")
+	return flag.Int("workers", 0,
+		"in-run workers for cluster-parallel execution: 0 = sequential "+
+			"(default; the sweep pool runs one cell per core), -1 = auto "+
+			"(GOMAXPROCS, capped), n = n windowed workers per cell, with the "+
+			"pool running about GOMAXPROCS/n cells at once")
 }
 
 // ApplyWorkers validates the parsed -workers value and installs it as the

@@ -249,16 +249,15 @@ func CommTimePercent(singleCluster, multiCluster sim.Time) float64 {
 	return v
 }
 
-// parallelism bounds concurrent simulations in sweeps. All cores are used:
-// the coordinating goroutine only blocks on the worker pool, so reserving
-// a core for it — which on the common 2-core CI box meant a single worker
-// and a core sitting idle through every sweep — just wastes half the
-// machine. With in-run workers enabled (SetDefaultWorkers), the pool
-// shrinks so that workers x concurrent cells stays near the core count
-// instead of oversubscribing. Results are collected into per-index slots,
-// so neither count ever affects output.
+// parallelism bounds concurrent simulations in sweeps: one cell per core
+// the scheduler grants (GOMAXPROCS, like sim.DefaultWorkers and the
+// analytic shards), with no core reserved for the coordinating goroutine,
+// which only blocks on the pool. With in-run workers above 1
+// (SetDefaultWorkers), the pool shrinks so that workers x concurrent cells
+// stays near that count instead of oversubscribing it. Results are
+// collected into per-index slots, so neither count ever affects output.
 func parallelism() int {
-	n := runtime.NumCPU()
+	n := runtime.GOMAXPROCS(0)
 	if w := DefaultWorkers(); w > 1 {
 		n /= w
 	}

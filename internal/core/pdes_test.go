@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"twolayer/internal/apps"
@@ -132,5 +134,30 @@ func TestParallelFaultedDifferential(t *testing.T) {
 				resultsEqual(t, cfg.name+"/"+appName, seq, res)
 			})
 		}
+	}
+}
+
+// TestParallelismFromGOMAXPROCS pins the sweep pool's size: one cell per
+// schedulable core (GOMAXPROCS, not the machine's CPU count) at the
+// sequential default, divided by the in-run worker count only when that
+// count is above 1, and never below one cell.
+func TestParallelismFromGOMAXPROCS(t *testing.T) {
+	procs, workers := runtime.GOMAXPROCS(0), DefaultWorkers()
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		SetDefaultWorkers(workers)
+	})
+	for _, tc := range []struct{ procs, workers, want int }{
+		{1, 0, 1}, {1, 2, 1}, {1, 4, 1},
+		{2, 0, 2}, {2, 2, 1}, {2, 4, 1},
+		{4, 0, 4}, {4, 2, 2}, {4, 4, 1},
+	} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d/workers=%d", tc.procs, tc.workers), func(t *testing.T) {
+			runtime.GOMAXPROCS(tc.procs)
+			SetDefaultWorkers(tc.workers)
+			if got := parallelism(); got != tc.want {
+				t.Errorf("parallelism() = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }

@@ -282,3 +282,52 @@ func TestDeterminism(t *testing.T) {
 		t.Error("seeds 7 and 8 produced identical conditions everywhere probed")
 	}
 }
+
+// FuzzRegimeSpec: any spec Validate accepts must compile into a plan on a
+// clique and on a multi-hop ring without panicking or allocating without
+// bound, and the plan must answer queries within the degradation-only
+// contract.
+func FuzzRegimeSpec(f *testing.F) {
+	for _, s := range []string{
+		"congestion:2000000000000000", // once passed Validate, then panicked in NewPlan
+		"diurnal:250ms:16",
+		"congestion:8:6:40ms",
+		"churn:2s:500ms",
+		"rel",
+		"diurnal:1s:8+congestion+churn:1s:100ms+rel",
+	} {
+		f.Add(s)
+	}
+	ring, err := wantopo.Ring(8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	graphs := []struct {
+		w        *wantopo.WAN
+		clusters int
+	}{{wantopo.Clique(4), 4}, {ring, 8}}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p := Params{Spec: spec, Seed: 1}
+		if p.Validate() != nil {
+			return
+		}
+		for _, g := range graphs {
+			pl, err := NewPlan(p, g.w, g.clusters)
+			if err != nil {
+				t.Fatalf("%q passed Validate but NewPlan on %s failed: %v", spec, g.w.Spec(), err)
+			}
+			for _, at := range []sim.Time{0, 3 * sim.Millisecond, 12 * 3600 * sim.Second} {
+				for e := 0; e < g.w.NumEdges(); e++ {
+					if lat, bw := pl.EdgeScale(e, at); !(lat >= 1) || !(bw > 0 && bw <= 1) {
+						t.Fatalf("%q on %s: edge %d at %v scales lat %g bw %g", spec, g.w.Spec(), e, at, lat, bw)
+					}
+				}
+				for c := 0; c < g.clusters; c++ {
+					if up := pl.UpAt(c, at); up < at {
+						t.Fatalf("%q on %s: cluster %d down at %v rejoins earlier, at %v", spec, g.w.Spec(), c, at, up)
+					}
+				}
+			}
+		}
+	})
+}
