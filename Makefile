@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench bench-runpath bench-pdes bench-analytic bench-topo chaos chaos-resume heatmap
+.PHONY: build test vet race check bench bench-runpath bench-analytic bench-topo chaos chaos-resume heatmap
 
 build:
 	$(GO) build ./...
@@ -30,13 +30,6 @@ bench:
 bench-runpath:
 	$(GO) run ./cmd/bench -runpath -o results/BENCH_runpath.json -repeat 5
 
-# bench-pdes regenerates results/BENCH_pdes.json: the cluster-parallel
-# engine against the sequential one (2/4/8 in-run workers, cold
-# paper-scale suite). Wall numbers scale with the cores the machine
-# actually grants; the report pins GOMAXPROCS next to them.
-bench-pdes:
-	$(GO) run ./cmd/bench -pdes -o results/BENCH_pdes.json -repeat 5
-
 # bench-analytic regenerates results/BENCH_analytic.json: one cold
 # simulated Small Figure 3 sweep against the record-once-solve-many
 # analytic engine, with per-variant recording cost, per-grid-point solve
@@ -52,7 +45,8 @@ heatmap:
 
 # bench-topo regenerates results/BENCH_topo.json: simulator throughput and
 # peak heap as the cluster count scales 16 -> 256, on the paper's clique
-# versus a 2D torus routed hop-by-hop through the wide-area graph.
+# versus a 2D torus routed hop-by-hop through the wide-area graph, on the
+# sequential kernel.
 bench-topo:
 	$(GO) run ./cmd/bench -topo -o results/BENCH_topo.json -repeat 5
 

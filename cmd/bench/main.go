@@ -1,5 +1,5 @@
 // Command bench measures the simulator's hot paths and writes the numbers
-// as JSON for tracking across revisions. It has seven modes:
+// as JSON for tracking across revisions. It has six modes:
 //
 //	bench                  # simulator kernel: event loop, handoffs, full run
 //	bench -apps            # application compute kernels (ns per force pair,
@@ -7,8 +7,6 @@
 //	bench -runpath         # steady-state run path: ns/op, B/op, allocs/op,
 //	                       # GC cycles for send→deliver→receive and traced runs
 //	bench -figures         # end-to-end: cold vs disk-cached Figure 3 sweep
-//	bench -pdes            # cluster-parallel engine: sequential vs 2/4/8
-//	                       # in-run workers on the cold paper-scale suite
 //	bench -analytic        # analytic engine: cold simulated Small Figure 3
 //	                       # vs record-once-solve-many, with error stats
 //	bench -topo            # wide-area graph scaling: events/sec and peak
@@ -318,7 +316,6 @@ func main() {
 		appsMode    = flag.Bool("apps", false, "benchmark the application compute kernels instead")
 		runpathMode = flag.Bool("runpath", false, "benchmark the steady-state run path (ns/op, B/op, allocs/op, GC cycles) instead")
 		figMode     = flag.Bool("figures", false, "benchmark cold vs disk-cached Figure 3 regeneration instead")
-		pdesMode    = flag.Bool("pdes", false, "benchmark the cluster-parallel engine (sequential vs 2/4/8 workers, cold paper-scale suite) instead")
 		anMode      = flag.Bool("analytic", false, "benchmark the analytic engine (Small Figure 3: simulated vs record-once-solve-many) instead")
 		topoMode    = flag.Bool("topo", false, "benchmark wide-area graph scaling (16/64/256 clusters, clique vs torus) instead")
 		prev        = flag.Float64("prev", 53.9, "previous revision's cold Figure 3 seconds (-figures baseline)")
@@ -341,17 +338,17 @@ func main() {
 		os.Exit(2)
 	}
 	modes := 0
-	for _, on := range []bool{*appsMode, *runpathMode, *figMode, *pdesMode, *anMode, *topoMode} {
+	for _, on := range []bool{*appsMode, *runpathMode, *figMode, *anMode, *topoMode} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "bench: -apps, -runpath, -figures, -pdes, -analytic and -topo are mutually exclusive")
+		fmt.Fprintln(os.Stderr, "bench: -apps, -runpath, -figures, -analytic and -topo are mutually exclusive")
 		os.Exit(2)
 	}
-	if (*figMode || *pdesMode || *anMode || *topoMode) && *only != "" {
-		fmt.Fprintln(os.Stderr, "bench: -only does not apply to -figures, -pdes, -analytic or -topo")
+	if (*figMode || *anMode || *topoMode) && *only != "" {
+		fmt.Fprintln(os.Stderr, "bench: -only does not apply to -figures, -analytic or -topo")
 		os.Exit(2)
 	}
 
@@ -387,28 +384,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simulated %.1fs  analytic %.2fs  speedup %.0fx  err max %.2f%% mean %.2f%%\n",
 			rep.SimulatedSeconds, rep.AnalyticSeconds, rep.Speedup,
 			rep.MaxRelErrPct, rep.MeanRelErrPct)
-		if err := writeOut(*out, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *pdesMode {
-		if *out == "" {
-			*out = "BENCH_pdes.json"
-		}
-		rep, err := benchPDES(*repeat)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sequential %.2fs (%.1f ns/event, %d events)\n",
-			rep.Sequential.Seconds, rep.Sequential.NsPerEvent, rep.Events)
-		for _, p := range rep.Parallel {
-			fmt.Fprintf(os.Stderr, "workers=%d  %.2fs  %.1f ns/event  %.2fx vs sequential\n",
-				p.Workers, p.Seconds, p.NsPerEvent, p.Speedup)
-		}
 		if err := writeOut(*out, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)

@@ -44,7 +44,6 @@ type topoReport struct {
 	GOMAXPROCS int         `json:"gomaxprocs"`
 	App        string      `json:"app"`
 	Scale      string      `json:"scale"`
-	Workers    int         `json:"workers"`
 	Runs       int         `json:"runs"`
 	Points     []topoPoint `json:"points"`
 }
@@ -58,8 +57,9 @@ var topoSpecs = []string{"clique", "torus2"}
 
 // peakHeap samples runtime heap use at 1 ms granularity while fn runs and
 // returns the high-water mark. Sampling (rather than a single post-run
-// read) catches the mid-run peak: per-cluster kernels, wide-area routing
-// tables and window buffers are all live at once only during the run.
+// read) catches the mid-run peak: the event queue, the wide-area link
+// state and in-flight message envelopes are all live at once only during
+// the run.
 func peakHeap(fn func() error) (uint64, error) {
 	runtime.GC()
 	var peak atomic.Uint64
@@ -89,17 +89,16 @@ func peakHeap(fn func() error) (uint64, error) {
 // topoCell runs one (clusters, graph) cell repeat times and keeps the
 // median wall time and the worst-case heap. Runs are cold — the point is
 // the simulator's own cost, not the cache's.
-func topoCell(app apps.Info, clusters int, wan *wantopo.WAN, workers, repeat int) (topoPoint, error) {
+func topoCell(app apps.Info, clusters int, wan *wantopo.WAN, repeat int) (topoPoint, error) {
 	topo, err := topology.Uniform(clusters, 1)
 	if err != nil {
 		return topoPoint{}, err
 	}
 	x := core.Experiment{
 		App: app, Scale: apps.Tiny,
-		Topo:    topo,
-		Params:  network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6),
-		WAN:     wan,
-		Workers: workers,
+		Topo:   topo,
+		Params: network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6),
+		WAN:    wan,
 	}
 	var res par.Result
 	var peak uint64
@@ -137,11 +136,10 @@ func topoCell(app apps.Info, clusters int, wan *wantopo.WAN, workers, repeat int
 // benchTopo measures the wide-area topology subsystem's scaling cost:
 // ASP (latency-tolerant, so runs complete even at 256 multi-hop clusters)
 // at Tiny scale, one processor per cluster, 16 -> 256 clusters, clique vs
-// 2D torus, under the windowed engine at 4 workers. The torus column pays
+// 2D torus, on the sequential kernel. The torus column pays
 // for multi-hop store-and-forward routing — more wide-area messages, more
 // contended links — and the report makes that cost a tracked number.
 func benchTopo(repeat int) (topoReport, error) {
-	const workers = 4
 	app, err := core.AppByName("ASP")
 	if err != nil {
 		return topoReport{}, err
@@ -151,7 +149,6 @@ func benchTopo(repeat int) (topoReport, error) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		App:        app.Name,
 		Scale:      "tiny",
-		Workers:    workers,
 		Runs:       repeat,
 	}
 	for _, c := range topoClusters {
@@ -162,7 +159,7 @@ func benchTopo(repeat int) (topoReport, error) {
 				return rep, err
 			}
 			fmt.Fprintf(os.Stderr, "bench: %d clusters on %s...\n", c, wan.Spec())
-			p, err := topoCell(app, c, wan, workers, repeat)
+			p, err := topoCell(app, c, wan, repeat)
 			if err != nil {
 				return rep, err
 			}

@@ -59,13 +59,9 @@ func run() int {
 		noCache    = flag.Bool("no-cache", false, "disable the persistent run cache")
 	)
 	sup := cliutil.RegisterSupervision("")
-	workers := cliutil.RegisterWorkers()
 	wanSpec := cliutil.RegisterWANTopology()
 	regimeFl := cliutil.RegisterRegime()
 	flag.Parse()
-	if err := cliutil.ApplyWorkers(*workers); err != nil {
-		return usage(err)
-	}
 	rp, err := regimeFl.Params()
 	if err != nil {
 		return usage(err)

@@ -87,14 +87,10 @@ func run() int {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (cells carry pprof labels; see -tagfocus)")
 	)
 	sup := cliutil.RegisterSupervision("")
-	workers := cliutil.RegisterWorkers()
 	analytic := cliutil.RegisterAnalytic()
 	wanSpec := cliutil.RegisterWANTopology()
 	regimeFl := cliutil.RegisterRegime()
 	flag.Parse()
-	if err := cliutil.ApplyWorkers(*workers); err != nil {
-		return usage(err)
-	}
 	if err := analytic.Validate(); err != nil {
 		return usage(err)
 	}

@@ -59,14 +59,10 @@ func run() int {
 	)
 	adaptive := flag.Bool("adaptive", false, "let the runtime adapt to the -regime (transport tuning, collective switching, churn-aware stealing)")
 	sup := cliutil.RegisterSupervision("")
-	workers := cliutil.RegisterWorkers()
 	an := cliutil.RegisterAnalytic()
 	wanSpec := cliutil.RegisterWANTopology()
 	regimeFl := cliutil.RegisterRegime()
 	flag.Parse()
-	if err := cliutil.ApplyWorkers(*workers); err != nil {
-		return usage(err)
-	}
 	if err := an.Validate(); err != nil {
 		return usage(err)
 	}
@@ -134,15 +130,11 @@ func run() int {
 	if err != nil {
 		return usage(err)
 	}
-	if !wan.IsClique() {
-		// Multi-hop timing is defined by the windowed engine; modes that
-		// need the single-kernel one are flag misuse, not runtime errors.
-		if *traceRun || *traceFull {
-			return usage(fmt.Errorf("-trace/-trace-full support only the default clique -wan-topology"))
-		}
-		if *jitter > 0 || *bwVar > 0 {
-			return usage(fmt.Errorf("-jitter/-bwvar support only the default clique -wan-topology"))
-		}
+	if !wan.IsClique() && (*jitter > 0 || *bwVar > 0) {
+		// Variability is drawn per directed cluster pair; relay-switch
+		// edges take none, so off the clique some hops would fluctuate and
+		// others not.
+		return usage(fmt.Errorf("-jitter/-bwvar support only the default clique -wan-topology"))
 	}
 	params := network.DefaultParams().WithWAN(sim.Time((*latency).Nanoseconds()), *bandwidth*1e6)
 	params.WANMessageRTTFactor = *tcp

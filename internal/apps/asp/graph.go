@@ -108,6 +108,16 @@ func randomGraphRows(n int, seed int64, lo, hi int) [][]int32 {
 // making the branch predictable and the store usually skippable. Shared by
 // the distributed relax loop, the sequential reference, and the
 // differential tests.
+//
+// It is kept out of line. Its 30-byte inner loop runs about 40% slower when
+// it straddles a 64-byte instruction-fetch boundary (paper-scale ASP on an
+// AVX-512 Xeon, where it is most of the CPU time), and inlined into a
+// caller its placement shifted with any change to that caller's code. Out
+// of line, only the linker's placement of this function decides it; after
+// changes elsewhere, `go tool objdump -s 'asp.relaxRows$'` shows where the
+// loop landed.
+//
+//go:noinline
 func relaxRows(rows [][]int32, rowk []int32, k int) {
 	for i := range rows {
 		rowi := rows[i]

@@ -165,12 +165,7 @@ func analyticEval(label string, x Experiment, pol *RunPolicy, cache *RunCache, t
 // points, or the matched replay sharded across clones. Both are
 // bit-identical to the point-at-a-time Solve and SolveMatched.
 func solveBatch(ev *analytic.Eval, engine string, ps []network.Params) []sim.Time {
-	// Shard across the -workers count when a CLI set one, the machine
-	// default otherwise.
-	workers := DefaultWorkers()
-	if workers <= 0 {
-		workers = sim.DefaultWorkers()
-	}
+	workers := sim.DefaultWorkers()
 	if engine == "frozen" {
 		return ev.SolveBatchParallel(ps, workers)
 	}

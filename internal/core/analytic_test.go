@@ -134,30 +134,27 @@ func TestGoldenUnperturbedByRecorder(t *testing.T) {
 	}
 }
 
-// TestRecorderWorkersSameGraph pins the recorded graph against the worker
-// count: a recording with the cluster-parallel engine requested must be
-// byte-identical to a sequential one (a Trace sink forces the sequential
-// engine precisely so that record order is the canonical execution order).
+// TestRecorderWorkersSameGraph pins the recorded graph against the
+// deprecated Workers field and against concurrency: two recordings made at
+// once, one with Workers set, must be byte-identical.
 func TestRecorderWorkersSameGraph(t *testing.T) {
-	record := func(t *testing.T, g GoldenRun, workers int) []byte {
-		t.Helper()
-		x := goldenExperiment(t, g)
+	record := func(x Experiment, workers int) ([]byte, error) {
 		x.Workers = workers
 		rec := analytic.NewRecorder(x.Topo, x.Params)
 		x.Trace = rec
 		res, err := x.Run()
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		graph, err := rec.Finish(res.Elapsed)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		var buf bytes.Buffer
 		if err := graph.EncodeBinary(&buf); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		return buf.Bytes()
+		return buf.Bytes(), nil
 	}
 	for _, g := range GoldenRuns {
 		g := g
@@ -166,11 +163,19 @@ func TestRecorderWorkersSameGraph(t *testing.T) {
 		}
 		t.Run(goldenName(g), func(t *testing.T) {
 			t.Parallel()
-			seq := record(t, g, -1)
-			par := record(t, g, 4)
-			if !bytes.Equal(seq, par) {
-				t.Errorf("graphs differ between sequential and Workers=4 recordings (%d vs %d bytes)",
-					len(seq), len(par))
+			x := goldenExperiment(t, g)
+			var graphs [2][]byte
+			err := forEach(2, func(i int) error {
+				var err error
+				graphs[i], err = record(x, []int{-1, 4}[i])
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(graphs[0], graphs[1]) {
+				t.Errorf("graphs differ between concurrent recordings (%d vs %d bytes)",
+					len(graphs[0]), len(graphs[1]))
 			}
 		})
 	}

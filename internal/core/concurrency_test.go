@@ -14,13 +14,13 @@ import (
 	"twolayer/internal/topology"
 )
 
-// The cluster-parallel engine's contract is bit-identical results at any
-// worker count. These tests enforce it against the sequential kernel the
-// same way the ladder queue was tested against the heap: deep Result
-// equality across engines, over every golden variant and over fault-injected
-// configurations. CI additionally runs TestGoldenDeterminismParallel under
-// -race (the name rides the golden -race regex), which is what proves the
-// worker pool shares no unsynchronized state.
+// Sweeps run many simulations at once on the pool (forEach), so runs must
+// share no mutable state: a result may not depend on what else is running.
+// These tests hold concurrent runs to deep Result equality with runs made
+// one at a time, over every golden variant and over fault-injected
+// configurations. CI runs TestGoldenDeterminismParallel under -race (the
+// name rides the golden -race regex), which is what proves concurrent runs
+// share no unsynchronized state.
 
 // resultsEqual compares every deterministic field of two Results.
 func resultsEqual(t *testing.T, label string, a, b par.Result) {
@@ -54,46 +54,51 @@ func resultsEqual(t *testing.T, label string, a, b par.Result) {
 	}
 }
 
-// TestGoldenDeterminismParallel runs every golden variant sequentially and
-// at workers 1, 2 and 4, and requires deep Result equality plus the pinned
-// golden values. Workers=1 exercises the full windowed engine (per-cluster
-// kernels, barrier exchange) without pool concurrency, isolating protocol
-// bugs from data races.
+// concurrentCopies runs x n times at once on the sweep pool and returns
+// the results in index order.
+func concurrentCopies(t *testing.T, x Experiment, n int) []par.Result {
+	t.Helper()
+	out := make([]par.Result, n)
+	err := forEach(n, func(i int) error {
+		var err error
+		out[i], err = x.Run()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestGoldenDeterminismParallel runs every golden variant alone and as
+// three concurrent copies, and requires the pinned golden values plus deep
+// Result equality between all of them.
 func TestGoldenDeterminismParallel(t *testing.T) {
 	for _, g := range GoldenRuns {
 		g := g
-		name := g.App + "/unopt"
-		if g.Optimized {
-			name = g.App + "/opt"
-		}
+		name := goldenName(g)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			x := goldenExperiment(t, g)
-			x.Workers = -1
 			seq, err := x.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if seq.Elapsed != g.Elapsed || seq.Events != g.Events {
-				t.Fatalf("sequential run off golden: %d ns / %d events, want %d / %d",
+				t.Fatalf("run off golden: %d ns / %d events, want %d / %d",
 					seq.Elapsed, seq.Events, g.Elapsed, g.Events)
 			}
-			for _, w := range []int{1, 2, 4} {
-				x.Workers = w
-				res, err := x.Run()
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				resultsEqual(t, name+"/workers="+string(rune('0'+w)), seq, res)
+			for i, res := range concurrentCopies(t, x, 3) {
+				resultsEqual(t, fmt.Sprintf("%s/copy%d", name, i), seq, res)
 			}
 		})
 	}
 }
 
-// TestParallelFaultedDifferential extends the differential contract to the
-// harder regime: fault injection with drops, duplicates, reordering jitter
-// and outages, where the reliable transport's timers, retransmissions and
-// acks all cross the window barrier.
+// TestParallelFaultedDifferential extends the concurrency contract to fault
+// injection with drops, duplicates, reordering jitter and outages, where the
+// fault plan and the reliable transport's timers, retransmissions and acks
+// all carry per-run state.
 func TestParallelFaultedDifferential(t *testing.T) {
 	configs := []struct {
 		name string
@@ -121,43 +126,39 @@ func TestParallelFaultedDifferential(t *testing.T) {
 					Params: network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6),
 					Faults: cfg.f,
 				}
-				x.Workers = -1
 				seq, err := x.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				x.Workers = 4
-				res, err := x.Run()
-				if err != nil {
-					t.Fatalf("workers=4: %v", err)
+				if seq.Transport.Acks == 0 {
+					t.Fatal("no reliable-transport traffic; differential is vacuous")
 				}
-				resultsEqual(t, cfg.name+"/"+appName, seq, res)
+				for i, res := range concurrentCopies(t, x, 2) {
+					resultsEqual(t, fmt.Sprintf("%s/%s/copy%d", cfg.name, appName, i), seq, res)
+				}
 			})
 		}
 	}
 }
 
 // TestParallelismFromGOMAXPROCS pins the sweep pool's size: one cell per
-// schedulable core (GOMAXPROCS, not the machine's CPU count) at the
-// sequential default, divided by the in-run worker count only when that
-// count is above 1, and never below one cell.
+// schedulable core (GOMAXPROCS, not the machine's CPU count), whatever the
+// deprecated process-wide worker default holds.
 func TestParallelismFromGOMAXPROCS(t *testing.T) {
 	procs, workers := runtime.GOMAXPROCS(0), DefaultWorkers()
 	t.Cleanup(func() {
 		runtime.GOMAXPROCS(procs)
 		SetDefaultWorkers(workers)
 	})
-	for _, tc := range []struct{ procs, workers, want int }{
-		{1, 0, 1}, {1, 2, 1}, {1, 4, 1},
-		{2, 0, 2}, {2, 2, 1}, {2, 4, 1},
-		{4, 0, 4}, {4, 2, 2}, {4, 4, 1},
-	} {
-		t.Run(fmt.Sprintf("gomaxprocs=%d/workers=%d", tc.procs, tc.workers), func(t *testing.T) {
-			runtime.GOMAXPROCS(tc.procs)
-			SetDefaultWorkers(tc.workers)
-			if got := parallelism(); got != tc.want {
-				t.Errorf("parallelism() = %d, want %d", got, tc.want)
-			}
-		})
+	for _, p := range []int{1, 2, 4} {
+		for _, w := range []int{0, 2, 4} {
+			t.Run(fmt.Sprintf("gomaxprocs=%d/workers=%d", p, w), func(t *testing.T) {
+				runtime.GOMAXPROCS(p)
+				SetDefaultWorkers(w)
+				if got := parallelism(); got != p {
+					t.Errorf("parallelism() = %d, want %d", got, p)
+				}
+			})
+		}
 	}
 }

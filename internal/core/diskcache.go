@@ -33,18 +33,20 @@ var fingerprintMemo string
 
 // Fingerprint identifies the simulation behaviour of this build for the
 // persistent cache: the entry format, the Go toolchain, and a hash of the
-// golden-determinism table.
+// golden-determinism tables (GoldenRuns and MultiHopGoldenRuns).
 func Fingerprint() string {
 	if fingerprintMemo != "" {
 		return fingerprintMemo
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "twolayer-runcache-v%d\n%s\n", diskFormatVersion, runtime.Version())
-	b, err := json.Marshal(GoldenRuns)
-	if err != nil {
-		panic("core: golden table not serializable: " + err.Error())
+	for _, table := range []any{GoldenRuns, MultiHopGoldenRuns} {
+		b, err := json.Marshal(table)
+		if err != nil {
+			panic("core: golden table not serializable: " + err.Error())
+		}
+		h.Write(b)
 	}
-	h.Write(b)
 	fingerprintMemo = hex.EncodeToString(h.Sum(nil)[:16])
 	return fingerprintMemo
 }

@@ -112,25 +112,19 @@ type Experiment struct {
 	// run stops with a sim.StopDeadline error. Like Budget it never affects
 	// a run that completes, and is not part of the cache key.
 	Ctx context.Context
-	// Workers controls in-run parallelism: each cluster becomes a logical
-	// process, synchronized in conservative time windows under the
-	// wide-area lookahead (see par.Options.Workers). Zero defers to the
-	// process-wide default (SetDefaultWorkers); negative forces sequential
-	// execution. Results are bit-identical at every worker count, which is
-	// why Workers — like Budget and Ctx — is deliberately NOT part of the
-	// cache key: cached entries are valid whatever engine produced them.
+	// Workers is ignored: every run executes on one sequential kernel.
+	//
+	// Deprecated: no engine reads it; kept until perfbench stops referencing it.
 	Workers int
 }
 
-// defaultWorkers is the process-wide in-run worker default consulted when
-// Experiment.Workers is zero. It starts at 0 (sequential): library users
-// opt in explicitly, and the CLIs set it from their -workers flag.
+// defaultWorkers backs SetDefaultWorkers and DefaultWorkers.
 var defaultWorkers atomic.Int32
 
-// SetDefaultWorkers sets the process-wide default for Experiment.Workers ==
-// 0. Values below 1 select sequential execution. The sweep pool divides the
-// machine by this number (see parallelism), so set it before starting
-// sweeps.
+// SetDefaultWorkers records a process-wide worker default. Values below 0
+// are stored as 0.
+//
+// Deprecated: no engine reads it; kept until perfbench stops referencing it.
 func SetDefaultWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -138,19 +132,10 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int32(n))
 }
 
-// DefaultWorkers reports the current process-wide default.
+// DefaultWorkers reports the value last passed to SetDefaultWorkers.
+//
+// Deprecated: no engine reads it; kept until perfbench stops referencing it.
 func DefaultWorkers() int { return int(defaultWorkers.Load()) }
-
-// workers resolves the experiment's effective in-run worker count.
-func (x Experiment) workers() int {
-	switch {
-	case x.Workers < 0:
-		return 0
-	case x.Workers > 0:
-		return x.Workers
-	}
-	return DefaultWorkers()
-}
 
 // Run executes the experiment.
 func (x Experiment) Run() (par.Result, error) {
@@ -165,7 +150,6 @@ func (x Experiment) Run() (par.Result, error) {
 		Regime:    x.Regime,
 		Adaptive:  x.Adaptive,
 		Budget:    x.Budget,
-		Workers:   x.workers(),
 	}, inst.Job(x.Optimized))
 	if err != nil {
 		return res, fmt.Errorf("core: %s (opt=%v) on %v: %w", x.App.Name, x.Optimized, x.Topo, err)
@@ -250,22 +234,10 @@ func CommTimePercent(singleCluster, multiCluster sim.Time) float64 {
 }
 
 // parallelism bounds concurrent simulations in sweeps: one cell per core
-// the scheduler grants (GOMAXPROCS, like sim.DefaultWorkers and the
-// analytic shards), with no core reserved for the coordinating goroutine,
-// which only blocks on the pool. With in-run workers above 1
-// (SetDefaultWorkers), the pool shrinks so that workers x concurrent cells
-// stays near that count instead of oversubscribing it. Results are
-// collected into per-index slots, so neither count ever affects output.
-func parallelism() int {
-	n := runtime.GOMAXPROCS(0)
-	if w := DefaultWorkers(); w > 1 {
-		n /= w
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// the scheduler grants (GOMAXPROCS), with no core reserved for the
+// coordinating goroutine, which only blocks on the pool. Results are
+// collected into per-index slots, so the count never affects output.
+func parallelism() int { return runtime.GOMAXPROCS(0) }
 
 // forEach runs fn(i) for i in [0,n) on a bounded worker pool. Every shard
 // runs to completion even if others fail, and all errors are reported

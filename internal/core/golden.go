@@ -36,3 +36,36 @@ var GoldenRuns = []GoldenRun{
 	{"Awari", true, 202126821, 19140, 2346, 40074},
 	{"FFT", false, 15966836, 6032, 2304, 82944},
 }
+
+// MultiHopGoldenRun pins one run on a multi-hop wide-area graph, where a
+// cross-cluster message is forwarded through intermediate gateways and
+// every hop is booked in kernel execution order of the send calls. All rows
+// run Water/opt at Tiny scale on 8 clusters of 2 at 3.3 ms / 0.95 MB/s;
+// Faulted rows inject 2% drops and 1% duplicates (fault seed 7), and Regime
+// names a regime spec run with seed 7. Like GoldenRuns, the table is hashed
+// into the run cache's code fingerprint.
+type MultiHopGoldenRun struct {
+	WAN      string
+	Faulted  bool
+	Regime   string
+	Elapsed  sim.Time
+	Events   uint64
+	WANMsgs  int64
+	WANBytes int64
+}
+
+// MultiHopGoldenRuns lists the pinned multi-hop outcomes. The fault-free
+// rows equal the values of the retired windowed engine; the faulted
+// torus and circulant rows moved when hops began to be booked in kernel
+// order (see DESIGN.md §5i).
+var MultiHopGoldenRuns = []MultiHopGoldenRun{
+	{"ring", false, "", 109397044, 1400, 576, 119808},
+	{"ring", true, "", 388348358, 3790, 4312, 485840},
+	{"torus:4x2", false, "", 57706835, 1400, 416, 87040},
+	{"torus:4x2", true, "", 78669546, 2519, 1613, 181944},
+	{"circulant:1,3", false, "", 40290273, 1400, 352, 73472},
+	{"circulant:1,3", true, "", 63897251, 2268, 1163, 131016},
+	{"fattree:4", false, "", 64056636, 1400, 768, 160512},
+	{"fattree:4", true, "", 77933082, 2583, 3047, 343424},
+	{"torus:4x2", false, "congestion:8:6:30ms", 151979708, 1400, 416, 87040},
+}

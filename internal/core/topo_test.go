@@ -9,22 +9,90 @@ import (
 	"twolayer/internal/faults"
 	"twolayer/internal/network"
 	"twolayer/internal/par"
+	"twolayer/internal/regime"
 	"twolayer/internal/sim"
 	"twolayer/internal/topology"
+	"twolayer/internal/trace"
 	"twolayer/internal/wantopo"
 )
 
-// Wide-area topology differentials: the multi-hop router must keep the
-// engine's bit-identity contract (any worker count, faults on or off), the
-// explicit clique must be indistinguishable — in results and in cache
-// identity — from the implicit default, and the analytic shortcut must
-// refuse graphs its replay model cannot see.
+// Wide-area topology contracts: multi-hop runs are pinned by
+// MultiHopGoldenRuns and must not be perturbed by observers, the explicit
+// clique must be indistinguishable — in results and in cache identity —
+// from the implicit default, and the analytic shortcut must refuse graphs
+// its replay model cannot see.
+
+// TestMultiHopGoldenRuns pins every multi-hop row: generator families with
+// and without fault injection, plus a regime on a torus.
+func TestMultiHopGoldenRuns(t *testing.T) {
+	for _, g := range MultiHopGoldenRuns {
+		g := g
+		t.Run(multiHopName(g), func(t *testing.T) {
+			t.Parallel()
+			res, err := multiHopExperiment(t, g).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Elapsed != g.Elapsed {
+				t.Errorf("Elapsed = %d, golden %d", res.Elapsed, g.Elapsed)
+			}
+			if res.Events != g.Events {
+				t.Errorf("Events = %d, golden %d", res.Events, g.Events)
+			}
+			if res.WAN.Messages != g.WANMsgs {
+				t.Errorf("WAN.Messages = %d, golden %d", res.WAN.Messages, g.WANMsgs)
+			}
+			if res.WAN.Bytes != g.WANBytes {
+				t.Errorf("WAN.Bytes = %d, golden %d", res.WAN.Bytes, g.WANBytes)
+			}
+		})
+	}
+}
+
+// multiHopFaults is the fault plan of the Faulted MultiHopGoldenRuns rows.
+var multiHopFaults = faults.Params{DropRate: 0.02, DupRate: 0.01, Seed: 7}
+
+// multiHopExperiment builds the run a MultiHopGoldenRun pins.
+func multiHopExperiment(t *testing.T, g MultiHopGoldenRun) Experiment {
+	t.Helper()
+	app, err := AppByName("Water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := wantopo.Parse(g.WAN, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := Experiment{
+		App: app, Scale: apps.Tiny, Optimized: true,
+		Topo:   topology.MustUniform(8, 2),
+		Params: network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6),
+		WAN:    w,
+	}
+	if g.Faulted {
+		x.Faults = multiHopFaults
+	}
+	if g.Regime != "" {
+		x.Regime = regime.Params{Spec: g.Regime, Seed: 7}
+	}
+	return x
+}
+
+func multiHopName(g MultiHopGoldenRun) string {
+	name := g.WAN
+	if g.Faulted {
+		name += "/faulted"
+	}
+	if g.Regime != "" {
+		name += "/" + g.Regime
+	}
+	return name
+}
 
 // TestMultiHopDifferential runs one application across every generator
 // family, with and without fault injection, and requires deep Result
-// equality between a sequential request (Workers=-1, which on multi-hop
-// graphs runs the windowed engine on one worker) and explicit worker
-// counts. This is the multi-hop extension of TestGoldenDeterminismParallel.
+// equality between a plain run and one observed by a streaming trace sink:
+// tracing sees every hop-booked message without moving any of them.
 func TestMultiHopDifferential(t *testing.T) {
 	app, err := AppByName("Water")
 	if err != nil {
@@ -43,27 +111,25 @@ func TestMultiHopDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run := func(workers int) par.Result {
+				run := func(sink trace.Sink) par.Result {
 					x := Experiment{App: app, Scale: apps.Tiny, Optimized: true,
 						Topo:   topology.MustUniform(8, 2),
 						Params: network.DefaultParams().WithWAN(3300*sim.Microsecond, 0.95e6),
-						WAN:    w, Workers: workers}
+						WAN:    w, Trace: sink}
 					if withFaults {
-						x.Faults = faults.Params{DropRate: 0.02, DupRate: 0.01, Seed: 7}
+						x.Faults = multiHopFaults
 					}
 					res, err := x.Run()
 					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
+						t.Fatal(err)
 					}
 					return res
 				}
-				seq := run(-1)
-				if seq.WAN.Messages == 0 {
+				plain := run(nil)
+				if plain.WAN.Messages == 0 {
 					t.Fatal("run produced no wide-area traffic; differential is vacuous")
 				}
-				for _, wk := range []int{1, 3} {
-					resultsEqual(t, name, seq, run(wk))
-				}
+				resultsEqual(t, name, plain, run(trace.NewStream(16)))
 			})
 		}
 	}
@@ -101,9 +167,10 @@ func TestCliqueExplicitMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestMultiHopRefusals pins the hook error paths: multi-hop timing is
-// defined by the windowed engine, so run modes needing the single-kernel
-// engine (and the analytic recorder) must refuse rather than diverge.
+// TestMultiHopRefusals pins the remaining multi-hop limit — the analytic
+// recorder's replay model charges one wide-area leg per message, so it must
+// refuse rather than diverge — and that Configure hooks run on multi-hop
+// graphs: a no-op Configure on a ring equals the plain run.
 func TestMultiHopRefusals(t *testing.T) {
 	app, err := AppByName("ASP")
 	if err != nil {
@@ -114,14 +181,24 @@ func TestMultiHopRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := Experiment{App: app, Scale: apps.Tiny,
-		Topo:      topology.MustUniform(4, 2),
-		Params:    network.DefaultParams(),
-		WAN:       ring,
-		Configure: func(n *network.Network) {},
+		Topo:   topology.MustUniform(4, 2),
+		Params: network.DefaultParams(),
+		WAN:    ring,
 	}
-	if _, err := x.Run(); err == nil || !strings.Contains(err.Error(), "clique") {
-		t.Errorf("Configure on ring: err = %v, want clique refusal", err)
+	plain, err := x.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
+	configured := false
+	x.Configure = func(n *network.Network) { configured = true }
+	hooked, err := x.Run()
+	if err != nil {
+		t.Fatalf("Configure on ring: %v", err)
+	}
+	if !configured {
+		t.Error("Configure hook never ran")
+	}
+	resultsEqual(t, "no-op Configure on ring", plain, hooked)
 	if _, err := SolveFigure3(Analytic{}, apps.Tiny, Figure3Options{Apps: []string{"ASP"}, WAN: ring}); err == nil ||
 		!strings.Contains(err.Error(), "clique") {
 		t.Errorf("analytic on ring: err = %v, want clique refusal", err)

@@ -25,7 +25,6 @@ type Job func(e *Env)
 // Env is one processor's view of the runtime.
 type Env struct {
 	rt   *runtime
-	sh   *shard // the LP hosting this rank (the lone shard when sequential)
 	p    *sim.Proc
 	rank int
 	mb   mailbox
@@ -147,33 +146,16 @@ func (e *Env) Send(dst int, tag Tag, data any, bytes int64) {
 		// Wide-area traffic under fault injection goes through the reliable
 		// channel; relSend may block while the go-back-N window is full.
 		e.relSend(dst, m, bytes)
-		e.p.Compute(e.sh.net.Params().SendOverhead)
+		e.p.Compute(e.rt.net.Params().SendOverhead)
 		return
 	}
-	if e.rt.pdes && !e.rt.topo.SameCluster(e.rank, dst) {
-		// Cross-LP direct send: the delivery event fires on the destination
-		// LP's kernel, so it cannot reference this LP's envelope pool — it
-		// carries a closure instead. Wide-area messages are the rare ones
-		// (that is the paper's whole premise), so the per-message allocation
-		// is confined to traffic that already costs milliseconds of virtual
-		// time. Closure and handler sends book identical link occupancy and
-		// consume one scheduling slot each, so the simulation is unchanged.
-		dsh := e.rt.shards[e.rt.topo.ClusterOf(dst)]
-		dmb := &e.rt.envs[dst].mb
-		e.sh.net.SendClass(e.rank, dst, bytes, network.ClassData, func() {
-			dsh.k.NoteProgress()
-			dmb.deliver(m)
-		})
-		e.p.Compute(e.sh.net.Params().SendOverhead)
-		return
-	}
-	// Direct path: stage the envelope in the shard's pool and let the
+	// Direct path: stage the envelope in the run's pool and let the
 	// network schedule a handler event — no per-message closure, so the
 	// steady-state send→deliver→receive cycle performs no heap allocation.
 	dmb := &e.rt.envs[dst].mb
-	e.sh.net.SendHandle(e.rank, dst, bytes, network.ClassData, e.sh, e.sh.stage(dmb, m))
+	e.rt.net.SendHandle(e.rank, dst, bytes, network.ClassData, e.rt, e.rt.stage(dmb, m))
 	// The sender itself is occupied for the software send overhead.
-	e.p.Compute(e.sh.net.Params().SendOverhead)
+	e.p.Compute(e.rt.net.Params().SendOverhead)
 }
 
 // recorded reports a consumed message and the receive pattern that matched

@@ -60,15 +60,6 @@ type Options struct {
 	// and a run that completes within its budgets is bit-identical to the
 	// same run with no budgets at all.
 	Budget sim.Budget
-	// Workers >= 1 runs the simulation itself in parallel: each cluster
-	// becomes a logical process with its own kernel, synchronized in
-	// conservative time windows under the wide-area lookahead, with up to
-	// Workers clusters executing concurrently. Results are bit-identical
-	// for every value, including the sequential default (0). Runs that the
-	// partitioning cannot handle — a single cluster, a non-positive
-	// lookahead (zero-latency WAN), or a Configure/Trace hook — silently
-	// use the sequential engine regardless of Workers.
-	Workers int
 }
 
 // RunWith executes job like Run, with extended options.

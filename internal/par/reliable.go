@@ -63,9 +63,7 @@ func (e *TransportError) Error() string {
 
 // relConfig is the run-wide reliable-transport configuration: the resolved
 // settings shared by every channel. The mutable protocol counters and
-// channel failures live on each shard (LP-local under parallel execution;
-// see shard.relStats and shard.relErrs), summed into the Result in shard
-// order.
+// channel failures live on the runtime (runtime.relStats, runtime.relErrs).
 type relConfig struct {
 	Transport
 	rtoBase sim.Time
@@ -150,7 +148,7 @@ func (e *Env) relSend(dst int, m Msg, bytes int64) {
 	seq := s.next
 	s.next++
 	s.lastBytes = bytes
-	s.window = append(s.window, relFrame{m: m, bytes: bytes, sentAt: e.sh.k.Now()})
+	s.window = append(s.window, relFrame{m: m, bytes: bytes, sentAt: e.rt.k.Now()})
 	s.transmit(seq, s.window[len(s.window)-1], network.ClassData)
 	if !s.timerOn {
 		s.arm()
@@ -171,7 +169,7 @@ func (s *relSender) windowLimit() int {
 	if !s.e.rt.adaptive || s.srtt == 0 {
 		return cfg.Window
 	}
-	per := 2 * sim.TransmissionTime(s.lastBytes+cfg.AckBytes, s.e.sh.net.Params().WANBandwidth)
+	per := 2 * sim.TransmissionTime(s.lastBytes+cfg.AckBytes, s.e.rt.net.Params().WANBandwidth)
 	if per <= 0 {
 		return cfg.Window
 	}
@@ -204,7 +202,7 @@ func (s *relSender) transmit(seq int64, f relFrame, class network.MsgClass) {
 	src, dst := s.e.rank, s.dst
 	de := s.e.rt.envs[dst]
 	m := f.m
-	s.e.sh.net.SendClass(src, dst, f.bytes, class, func() {
+	s.e.rt.net.SendClass(src, dst, f.bytes, class, func() {
 		de.relDeliver(src, seq, m)
 	})
 }
@@ -234,7 +232,7 @@ func (s *relSender) rto() sim.Time {
 		}
 	}
 	if len(s.window) > 0 {
-		p := s.e.sh.net.Params()
+		p := s.e.rt.net.Params()
 		d += 2 * sim.TransmissionTime(s.window[0].bytes+cfg.AckBytes, p.WANBandwidth)
 	}
 	shift := s.retries
@@ -291,7 +289,7 @@ func mix64(x uint64) uint64 {
 // counter, which rides along as the event token — the timer path allocates
 // no closure.
 func (s *relSender) arm() {
-	k := s.e.sh.k
+	k := s.e.rt.k
 	s.armAt(k.Now() + s.rto())
 }
 
@@ -299,7 +297,7 @@ func (s *relSender) arm() {
 func (s *relSender) armAt(at sim.Time) {
 	s.timerGen++
 	s.timerOn = true
-	s.e.sh.k.ScheduleCall(at, s, s.timerGen)
+	s.e.rt.k.ScheduleCall(at, s, s.timerGen)
 }
 
 // HandleEvent implements sim.EventHandler for the retransmission timer; the
@@ -315,14 +313,14 @@ func (s *relSender) onTimeout(gen uint64) {
 	}
 	s.timerOn = false
 	cfg := s.e.rt.rel
-	s.e.sh.relStats.Timeouts++
+	s.e.rt.relStats.Timeouts++
 	// Churn-aware hold-off: when the regime says an endpoint's whole
 	// cluster is churned out right now, retransmitting is futile (the
 	// gateway drops everything) and escalating the backoff just delays the
 	// repair past the rejoin. Re-arm for just after the scheduled rejoin
 	// instead, without burning a retry round — planned downtime is not
 	// congestion. The rejoin time is a pure function of the regime, so this
-	// stays deterministic at every worker count.
+	// stays deterministic.
 	if hold, ok := s.churnHold(); ok {
 		s.armAt(hold)
 		return
@@ -339,13 +337,13 @@ func (s *relSender) onTimeout(gen uint64) {
 	s.retries++
 	if s.retries > cfg.MaxRetries {
 		s.failed = true
-		s.e.sh.relErrs = append(s.e.sh.relErrs, &TransportError{
+		s.e.rt.relErrs = append(s.e.rt.relErrs, &TransportError{
 			Src: s.e.rank, Dst: s.dst, Retries: cfg.MaxRetries,
 			Seq: s.base, Unacked: len(s.window)})
 		return
 	}
 	for i := range s.window {
-		s.e.sh.relStats.Retransmits++
+		s.e.rt.relStats.Retransmits++
 		s.window[i].retx = true
 		s.transmit(s.base+int64(i), s.window[i], network.ClassRetrans)
 	}
@@ -361,7 +359,7 @@ func (s *relSender) churnHold() (sim.Time, bool) {
 	if !rt.adaptive || !rt.regime.HasChurn() {
 		return 0, false
 	}
-	now := s.e.sh.k.Now()
+	now := s.e.rt.k.Now()
 	up := now
 	if t := rt.regime.UpAt(rt.topo.ClusterOf(s.e.rank), now); t > up {
 		up = t
@@ -388,21 +386,21 @@ func (e *Env) relDeliver(src int, seq int64, m Msg) {
 	switch exp := e.relExp[src]; {
 	case seq == exp:
 		e.relExp[src] = exp + 1
-		e.sh.k.NoteProgress() // new in-order delivery: the application advanced
+		e.rt.k.NoteProgress() // new in-order delivery: the application advanced
 		e.mb.deliver(m)
 	case seq < exp:
-		e.sh.relStats.Duplicates++ // retransmission of something already delivered
+		e.rt.relStats.Duplicates++ // retransmission of something already delivered
 	default:
-		e.sh.relStats.OutOfOrder++ // gap: an earlier frame was lost or jittered past
+		e.rt.relStats.OutOfOrder++ // gap: an earlier frame was lost or jittered past
 	}
 	cum := e.relExp[src] - 1
 	if cum < 0 {
 		return // nothing received in order yet; an ack would carry no information
 	}
-	e.sh.relStats.Acks++
+	e.rt.relStats.Acks++
 	se := e.rt.envs[src]
 	rank := e.rank
-	e.sh.net.SendClass(rank, src, cfg.AckBytes, network.ClassAck, func() {
+	e.rt.net.SendClass(rank, src, cfg.AckBytes, network.ClassAck, func() {
 		se.relAck(rank, cum)
 	})
 }
@@ -428,7 +426,7 @@ func (e *Env) relAck(from int, cum int64) {
 			if s.window[i].retx {
 				continue
 			}
-			if sample := e.sh.k.Now() - s.window[i].sentAt; sample > 0 {
+			if sample := e.rt.k.Now() - s.window[i].sentAt; sample > 0 {
 				s.observeRTT(sample)
 			}
 			break
@@ -440,7 +438,7 @@ func (e *Env) relAck(from int, cum int64) {
 	// A cumulative ack moving the window is the transport-level progress the
 	// livelock watchdog watches for: a retransmit storm fires timers forever
 	// without ever reaching this line.
-	e.sh.k.NoteProgress()
+	e.rt.k.NoteProgress()
 	if len(s.window) > 0 {
 		s.arm()
 	} else {

@@ -15,12 +15,12 @@ import (
 	"twolayer/internal/trace"
 )
 
-// runtime ties the per-LP shards (kernel, network, LP-local pools) and the
-// per-rank environments together. Sequential runs have exactly one shard
-// hosting every rank; PDES runs (Options.Workers >= 1) have one shard per
-// cluster, driven by sim.RunWindows.
+// runtime ties one run together: the kernel, the network, the per-rank
+// environments and the run-wide pools and counters.
 type runtime struct {
 	topo   *topology.Topology
+	k      *sim.Kernel
+	net    *network.Network
 	envs   []*Env
 	tracer trace.Sink
 	rec    trace.OpSink // op-level recorder when Options.Trace implements it
@@ -32,10 +32,56 @@ type runtime struct {
 	adaptive bool         // Options.Adaptive; meaningful only with a regime
 	lossy    bool         // frames can actually be lost (faults or churn)
 
-	shards []*shard
-	pdes   bool // cluster-partitioned parallel mode
+	// pend pools the envelopes of messages in flight on the direct (non-
+	// reliable) path: a send stages {destination mailbox, message} here and
+	// hands the network only the runtime (a sim.EventHandler) plus the slot
+	// token, so the steady-state send->deliver cycle allocates nothing.
+	// Slots are recycled through a free list (index+1 encoding; 0 = none).
+	pend     []pendingMsg
+	pendFree int32
 
-	merge []network.WANArrival // barrier scratch: sorted union of shard outboxes
+	// relStats and relErrs are the reliable transport's protocol counters
+	// and channel failures, reported in the run's Result.
+	relStats trace.TransportStats
+	relErrs  []error
+}
+
+// pendingMsg is one pooled in-flight message envelope.
+type pendingMsg struct {
+	mb   *mailbox
+	m    Msg
+	next int32
+}
+
+// stage places a message bound for mb into the delivery pool and returns
+// its token for SendHandle.
+func (rt *runtime) stage(mb *mailbox, m Msg) uint64 {
+	var idx int32
+	if rt.pendFree != 0 {
+		idx = rt.pendFree - 1
+		rt.pendFree = rt.pend[idx].next
+	} else {
+		rt.pend = append(rt.pend, pendingMsg{})
+		idx = int32(len(rt.pend)) - 1
+	}
+	p := &rt.pend[idx]
+	p.mb = mb
+	p.m = m
+	return uint64(idx)
+}
+
+// HandleEvent implements sim.EventHandler: the network's delivery event for
+// a staged message fired. The envelope is recycled before the mailbox
+// delivery runs (delivery may wake a process whose next send reuses it).
+func (rt *runtime) HandleEvent(token uint64) {
+	p := &rt.pend[token]
+	mb, m := p.mb, p.m
+	p.mb = nil
+	p.m = Msg{}
+	p.next = rt.pendFree
+	rt.pendFree = int32(token) + 1
+	rt.k.NoteProgress() // a message reaching a mailbox is application progress
+	mb.deliver(m)
 }
 
 // rankNames caches the diagnostic process names ("rank0", "rank1", ...)
@@ -125,10 +171,9 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 		return Result{}, fmt.Errorf("par: invalid regime parameters: %w", err)
 	}
 	// Bind the regime once against the run's wide-area graph; the plan is
-	// immutable and every query a pure function of virtual time, so all
-	// shards of a parallel run can share the one instance. NewPlan's default
-	// clique is built with the same deterministic constructor the network
-	// uses, so edge IDs agree.
+	// immutable and every query a pure function of virtual time. NewPlan's
+	// default clique is built with the same deterministic constructor the
+	// network uses, so edge IDs agree.
 	var rplan *regime.Plan
 	if opts.Regime.Enabled() {
 		var err error
@@ -139,7 +184,7 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	}
 	rt := &runtime{topo: topo, tracer: opts.Trace, seed: opts.Seed,
 		regime: rplan, adaptive: opts.Adaptive && rplan != nil,
-		lossy:  opts.Faults.Enabled() || (rplan != nil && rplan.HasChurn())}
+		lossy: opts.Faults.Enabled() || (rplan != nil && rplan.HasChurn())}
 	if rec, ok := opts.Trace.(trace.OpSink); ok {
 		// Op-level recording relies on every Env.Send producing exactly one
 		// observer callback, in send-call order, with uniform link speeds.
@@ -172,93 +217,31 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 			rtoBase:   rtoBase(opts.Params),
 		}
 	}
-	// Cluster-partitioned parallel execution applies when the caller asked
-	// for it and the run is eligible: multiple clusters (one cluster has no
-	// partition), a positive wide-area lookahead (a zero-latency WAN gives
-	// the conservative protocol no window — see DESIGN.md §5g), and no
-	// Configure/Trace hook (Configure may install per-pair speeds or
-	// variability whose link state the partitioning cannot localize; Trace
-	// observes deliveries in global order). Ineligible runs silently fall
-	// back to the sequential engine, which is always correct.
-	lookahead := opts.Params.WANLookaheadFor(opts.WAN)
-	// Multi-hop wide-area graphs have only one reproducible timing
-	// semantics: windowed deferred link booking in (Sent, Chain) order (see
-	// pdes.go — forwarded messages share links across source clusters, and
-	// the sequential kernel's exact-time tie order cannot be reconstructed
-	// in parallel). Sequential requests therefore run the windowed engine
-	// on one worker, and hooks that require the single-kernel engine are
-	// refused rather than silently given different timings.
-	multiHop := opts.WAN != nil && opts.WAN.MaxHops() > 1
-	if multiHop {
-		if opts.Configure != nil {
-			return Result{}, errors.New("par: Configure network extensions require the default clique wide-area graph")
-		}
-		if opts.Trace != nil {
-			return Result{}, errors.New("par: tracing requires the default clique wide-area graph")
-		}
-		if topo.Clusters() < 2 || lookahead <= 0 {
-			return Result{}, errors.New("par: a multi-hop wide-area graph needs at least two clusters and a positive lookahead")
-		}
+	rt.k = sim.NewKernel()
+	rt.net = network.NewWithWAN(rt.k, topo, opts.Params, opts.WAN)
+	if opts.Configure != nil {
+		opts.Configure(rt.net)
 	}
-	rt.pdes = (opts.Workers >= 1 || multiHop) && topo.Clusters() > 1 && lookahead > 0 &&
-		opts.Configure == nil && opts.Trace == nil
-	if rt.pdes {
-		rt.shards = make([]*shard, topo.Clusters())
-		for c := range rt.shards {
-			k := sim.NewKernel()
-			// LP kernels track event birth chains: the window flush sorts
-			// cross-cluster arrivals by them to reproduce the sequential
-			// kernel's exact-time tie order. Sequential kernels skip the
-			// tracking (and its per-event copies) entirely.
-			k.RecordChains()
-			net := network.NewWithWAN(k, topo, opts.Params, opts.WAN)
-			sh := &shard{rt: rt, id: c, k: k, net: net, ranks: topo.RanksIn(c)}
-			net.SetRouter(sh)
-			if opts.Faults.Enabled() {
-				// Per-shard plans make identical decisions: a plan is a pure
-				// function of (seed, link, message index, time).
-				net.SetFaults(faults.NewPlan(opts.Faults))
-			}
-			// The regime plan is immutable; all shards share the one binding.
-			net.SetRegime(rplan)
-			rt.shards[c] = sh
-		}
-	} else {
-		k := sim.NewKernel()
-		net := network.NewWithWAN(k, topo, opts.Params, opts.WAN)
-		if opts.Configure != nil {
-			opts.Configure(net)
-		}
-		if opts.Trace != nil {
-			tr := opts.Trace
-			net.SetObserver(func(ev network.MessageEvent) {
-				tr.RecordMessage(trace.Message{
-					Src: ev.Src, Dst: ev.Dst, Bytes: ev.Bytes,
-					Sent: ev.Sent, Delivered: ev.Delivered, WAN: ev.WAN,
-					Kind: msgKind(ev.Class), Dup: ev.Duplicate, Dropped: ev.Dropped,
-				})
+	if opts.Trace != nil {
+		tr := opts.Trace
+		rt.net.SetObserver(func(ev network.MessageEvent) {
+			tr.RecordMessage(trace.Message{
+				Src: ev.Src, Dst: ev.Dst, Bytes: ev.Bytes,
+				Sent: ev.Sent, Delivered: ev.Delivered, WAN: ev.WAN,
+				Kind: msgKind(ev.Class), Dup: ev.Duplicate, Dropped: ev.Dropped,
 			})
-		}
-		if opts.Faults.Enabled() {
-			net.SetFaults(faults.NewPlan(opts.Faults))
-		}
-		net.SetRegime(rplan)
-		allRanks := make([]int, topo.Procs())
-		for r := range allRanks {
-			allRanks[r] = r
-		}
-		rt.shards = []*shard{{rt: rt, k: k, net: net, ranks: allRanks}}
+		})
 	}
+	if opts.Faults.Enabled() {
+		rt.net.SetFaults(faults.NewPlan(opts.Faults))
+	}
+	rt.net.SetRegime(rplan)
 	rt.envs = make([]*Env, topo.Procs())
 	procs := make([]*sim.Proc, topo.Procs())
 	for r := 0; r < topo.Procs(); r++ {
-		sh := rt.shards[0]
-		if rt.pdes {
-			sh = rt.shards[topo.ClusterOf(r)]
-		}
-		e := &Env{rt: rt, sh: sh, rank: r}
+		e := &Env{rt: rt, rank: r}
 		rt.envs[r] = e
-		procs[r] = sh.k.Spawn(rankName(r), func(p *sim.Proc) {
+		procs[r] = rt.k.Spawn(rankName(r), func(p *sim.Proc) {
 			e.p = p
 			job(e)
 		})
@@ -266,50 +249,25 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 	// Subsystem diagnostics are rendered into the RunError of any abnormal
 	// termination (deadlock, budget kill, watchdog trip, deadline); a
 	// healthy run never invokes them.
-	for _, sh := range rt.shards {
-		sh.k.AddDiagnostic("mailboxes", sh.mailboxDump)
-		if rt.rel != nil {
-			sh.k.AddDiagnostic("reliable-transport", sh.reliableDump)
-		}
+	rt.k.AddDiagnostic("mailboxes", rt.mailboxDump)
+	if rt.rel != nil {
+		rt.k.AddDiagnostic("reliable-transport", rt.reliableDump)
 	}
-	var err error
-	if rt.pdes {
-		kernels := make([]*sim.Kernel, len(rt.shards))
-		for i, sh := range rt.shards {
-			kernels[i] = sh.k
-		}
-		err = sim.RunWindows(kernels, rt, sim.WindowConfig{
-			Lookahead: lookahead,
-			Workers:   opts.Workers,
-			Budget:    opts.Budget,
-			Ctx:       ctx,
-		})
-	} else {
-		rt.shards[0].k.SetBudget(opts.Budget)
-		err = rt.shards[0].k.RunContext(ctx)
-	}
+	rt.k.SetBudget(opts.Budget)
+	err := rt.k.RunContext(ctx)
 	var res Result
 	if rt.rel != nil {
-		var errs []error
-		for _, sh := range rt.shards {
-			addTransportStats(&res.Transport, sh.relStats)
-			errs = append(errs, sh.relErrs...)
-		}
+		res.Transport = rt.relStats
 		if opts.Trace != nil {
 			opts.Trace.RecordTransport(res.Transport)
 		}
-		if len(errs) > 0 {
+		if len(rt.relErrs) > 0 {
 			// A failed reliable channel usually also deadlocks the program;
 			// surface the root cause ahead of the secondary deadlock.
-			err = errors.Join(append(errs, err)...)
+			err = errors.Join(append(rt.relErrs, err)...)
 		}
 	}
-	for _, sh := range rt.shards {
-		fs := sh.net.FaultStats()
-		res.Faults.Dropped += fs.Dropped
-		res.Faults.OutageDropped += fs.OutageDropped
-		res.Faults.Duplicated += fs.Duplicated
-	}
+	res.Faults = rt.net.FaultStats()
 	if err != nil {
 		return res, err
 	}
@@ -322,24 +280,70 @@ func runSim(ctx context.Context, topo *topology.Topology, opts Options, job Job)
 			res.Elapsed = p.FinishedAt()
 		}
 	}
+	res.WAN = rt.net.TotalWAN()
+	res.Intra = rt.net.Intra()
+	res.Events = rt.k.EventsFired()
 	res.ClusterWANOut = make([]network.LinkStats, topo.Clusters())
-	for _, sh := range rt.shards {
-		w := sh.net.TotalWAN()
-		res.WAN.Messages += w.Messages
-		res.WAN.Bytes += w.Bytes
-		res.WAN.BusyTime += w.BusyTime
-		is := sh.net.Intra()
-		res.Intra.Messages += is.Messages
-		res.Intra.Bytes += is.Bytes
-		res.Events += sh.k.EventsFired()
-		for c := 0; c < topo.Clusters(); c++ {
-			s := sh.net.ClusterWANOut(c)
-			res.ClusterWANOut[c].Messages += s.Messages
-			res.ClusterWANOut[c].Bytes += s.Bytes
-			res.ClusterWANOut[c].BusyTime += s.BusyTime
-		}
+	for c := range res.ClusterWANOut {
+		res.ClusterWANOut[c] = rt.net.ClusterWANOut(c)
 	}
 	return res, nil
+}
+
+// mailboxDump renders the backed-up mailboxes for abnormal-termination
+// diagnostics: which ranks hold undelivered messages, and how many.
+func (rt *runtime) mailboxDump() []string {
+	const maxLines = 32
+	var out []string
+	backed := 0
+	for r, e := range rt.envs {
+		if n := e.mb.pending(); n > 0 {
+			backed++
+			if len(out) < maxLines {
+				out = append(out, fmt.Sprintf("rank %d: %d undelivered message(s)", r, n))
+			}
+		}
+	}
+	if backed > maxLines {
+		out = append(out, fmt.Sprintf("... %d more ranks with queued messages", backed-maxLines))
+	}
+	if backed == 0 {
+		out = append(out, "all mailboxes empty")
+	}
+	return out
+}
+
+// reliableDump renders the go-back-N state for abnormal-termination
+// diagnostics: protocol counters, then every channel with unacked frames or
+// retries in progress.
+func (rt *runtime) reliableDump() []string {
+	const maxLines = 32
+	out := []string{fmt.Sprintf(
+		"stats: timeouts=%d retransmits=%d acks=%d duplicates=%d out-of-order=%d",
+		rt.relStats.Timeouts, rt.relStats.Retransmits, rt.relStats.Acks,
+		rt.relStats.Duplicates, rt.relStats.OutOfOrder)}
+	busy := 0
+	for _, e := range rt.envs {
+		for _, s := range e.relS {
+			if s == nil || (len(s.window) == 0 && s.retries == 0 && !s.failed) {
+				continue
+			}
+			busy++
+			if len(out) < maxLines+1 {
+				state := ""
+				if s.failed {
+					state = " FAILED"
+				}
+				out = append(out, fmt.Sprintf(
+					"channel %d->%d: window %d/%d unacked from seq %d, next %d, retries %d%s",
+					s.e.rank, s.dst, len(s.window), rt.rel.Window, s.base, s.next, s.retries, state))
+			}
+		}
+	}
+	if busy > maxLines {
+		out = append(out, fmt.Sprintf("... %d more channels with unacked frames", busy-maxLines))
+	}
+	return out
 }
 
 // Barrier tags use a reserved negative odd range so they never collide with

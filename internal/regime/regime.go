@@ -8,17 +8,14 @@
 //
 // Every quantity a regime produces is a pure function of (Seed, virtual
 // time, link identity) — no wall clock, no mutable state, no global RNG.
-// Two runs with equal seeds see bit-identical conditions, at any worker
-// count: the cluster-parallel engine can evaluate the same plan from every
-// shard and get the same answers, because there is nothing to race on.
+// Two runs with equal seeds see bit-identical conditions, and concurrent
+// runs can share one plan because there is nothing to race on.
 //
 // Degradation-only fluctuation. A regime only ever *slows* the wide-area
 // links: latency scale factors are >= 1 and bandwidth scale factors are
-// <= 1 at all times. This is what keeps the conservative cluster-parallel
-// lookahead (network.Params.WANLookaheadFor) a true lower bound on
-// cross-cluster delivery — fluctuation pushes deliveries later, never
-// earlier — so regime runs stay bit-identical at every worker count
-// without touching the synchronization protocol.
+// <= 1 at all times. Fluctuation pushes deliveries later, never earlier, so
+// the calm run is a floor every regime run of the same cell is measured
+// against.
 package regime
 
 import (
@@ -264,8 +261,8 @@ type flow struct {
 }
 
 // Plan is a compiled regime bound to a wide-area graph. It is immutable
-// after NewPlan and therefore safe to share across the shards of a
-// cluster-parallel run: every query is a pure function of virtual time.
+// after NewPlan and therefore safe to share between concurrent runs: every
+// query is a pure function of virtual time.
 type Plan struct {
 	p        Params
 	cl       clauses
@@ -401,7 +398,7 @@ func (pl *Plan) edgeLoad(edgeID int, t sim.Time) int {
 // EdgeScale returns the latency and bandwidth scale factors of one
 // wide-area edge at virtual time t. The latency scale is always >= 1 and
 // the bandwidth scale always in (0, 1]: regimes only degrade links (see the
-// package comment for why that preserves the parallel lookahead).
+// package comment).
 func (pl *Plan) EdgeScale(edgeID int, t sim.Time) (latScale, bwScale float64) {
 	latScale, bwScale = 1, 1
 	if t < 0 {

@@ -96,8 +96,8 @@ func TestPlanProperties(t *testing.T) {
 	}
 }
 
-// TestEdgeScaleDegradationOnly: the conservative parallel lookahead depends
-// on every regime only ever slowing links down — latency scale >= 1 and
+// TestEdgeScaleDegradationOnly: the calm run is a floor only if every
+// regime only ever slows links down — latency scale >= 1 and
 // bandwidth scale in (0, 1] at every time, on every edge, through negative
 // times included (pre-run probes clamp to 0).
 func TestEdgeScaleDegradationOnly(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"runtime"
 )
 
 // Kernel is a discrete-event simulation engine. Create one with NewKernel,
@@ -41,28 +42,6 @@ type Kernel struct {
 	ran  bool
 	stop *RunError // first budget/watchdog/deadline kill; nil while healthy
 
-	// Windowed (PDES) execution: when limited is set, step refuses to pop
-	// events at or past limit, so the kernel can be driven one conservative
-	// time window at a time by RunWindows. Both are owned by the window
-	// driver; sequential runs never set them.
-	limit   Time
-	limited bool
-
-	// curChain is the birth chain of the currently firing event (see
-	// event.chain); anything scheduled while it runs — including from
-	// processes it wakes — inherits it, shifted one level. The saved
-	// values hold the pre-replay state between BeginReplay and EndReplay.
-	recordChains bool
-	curChain     birthChain
-	savedNow     Time
-	savedChain   birthChain
-
-	// chains is the slab backing queued events' birth chains (index+1
-	// handles; see event.chain); chainFree recycles the slots of fired
-	// events, so the slab's high-water mark is the queue's.
-	chains    []birthChain
-	chainFree []int32
-
 	events     uint64 // total events fired, for diagnostics
 	progressAt uint64 // events counter at the last NoteProgress call
 	budget     Budget
@@ -88,7 +67,7 @@ func (k *Kernel) Schedule(at Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
 	k.seq++
-	k.queue.Push(event{at: at, seq: k.seq, fire: fn, chain: k.newChain()})
+	k.queue.Push(event{at: at, seq: k.seq, fire: fn})
 }
 
 // scheduleProc registers a process wake-up (or start) at absolute virtual
@@ -99,7 +78,7 @@ func (k *Kernel) scheduleProc(at Time, p *Proc) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
 	k.seq++
-	k.queue.Push(event{at: at, seq: k.seq, proc: p, chain: k.newChain()})
+	k.queue.Push(event{at: at, seq: k.seq, proc: p})
 }
 
 // EventHandler is the closure-free form of a scheduled callback: a
@@ -122,7 +101,7 @@ func (k *Kernel) ScheduleCall(at Time, h EventHandler, token uint64) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
 	k.seq++
-	k.queue.Push(event{at: at, seq: k.seq, h: h, token: token, chain: k.newChain()})
+	k.queue.Push(event{at: at, seq: k.seq, h: h, token: token})
 }
 
 // CallAfter registers h.HandleEvent(token) to run d from now. Negative d is
@@ -189,17 +168,11 @@ func (k *Kernel) step() {
 		if k.stop != nil || k.queue.Len() == 0 {
 			return
 		}
-		if k.limited && k.queue.Peek() >= k.limit {
-			return
-		}
 		ev := k.queue.Pop()
 		if ev.at < k.now {
 			panic("sim: event time went backwards")
 		}
 		k.now = ev.at
-		if k.recordChains {
-			k.takeChain(ev.chain)
-		}
 		k.events++
 		if k.checkBudgets() {
 			return
@@ -291,90 +264,20 @@ func (k *Kernel) RunContext(ctx context.Context) error {
 	return k.err
 }
 
-// newChain records the birth chain of an event scheduled now — born at the
-// current virtual time, descending from the currently firing event — into
-// the chain slab and returns its handle. Recording is off by default and
-// newChain returns 0 without touching memory: only window-driven (PDES)
-// kernels consume chains, and sequential execution must not pay the
-// per-event copies.
-func (k *Kernel) newChain() int32 {
-	if !k.recordChains {
-		return 0
-	}
-	var idx int32
-	if n := len(k.chainFree); n > 0 {
-		idx = k.chainFree[n-1]
-		k.chainFree = k.chainFree[:n-1]
-	} else {
-		k.chains = append(k.chains, birthChain{})
-		idx = int32(len(k.chains))
-	}
-	c := &k.chains[idx-1]
-	c[0] = k.now
-	copy(c[1:], k.curChain[:birthDepth-1])
-	return idx
-}
-
-// takeChain consumes a chain handle as its event fires: the chain is copied
-// into curChain and the slot recycled.
-func (k *Kernel) takeChain(idx int32) {
-	if idx == 0 {
-		k.curChain = birthChain{}
-		return
-	}
-	k.curChain = k.chains[idx-1]
-	k.chainFree = append(k.chainFree, idx)
-}
-
-// RecordChains enables birth-chain tracking on scheduled events. The
-// cluster-parallel driver enables it on every LP kernel before any traffic;
-// EventBirth is only meaningful afterwards.
-func (k *Kernel) RecordChains() { k.recordChains = true }
-
-// EventBirth returns the birth chain of the currently firing event: element
-// 0 is the virtual time at which it was scheduled, element i the same for
-// its i-th causal ancestor. Valid inside event handlers and process bodies.
-func (k *Kernel) EventBirth() BirthChain {
-	return BirthChain(k.curChain)
-}
-
-// BirthChain is an event's causal-ancestry head as exposed to routers: see
-// Kernel.EventBirth. Compare reports the sequential kernel's relative seq
-// order for two exact-time events, as far as the recorded depth can see:
-// negative when c fires first, positive when o does, zero when the chains
-// tie to full depth.
-type BirthChain [birthDepth]Time
-
-// Compare lexicographically orders two chains.
-func (c BirthChain) Compare(o BirthChain) int {
-	for i := range c {
-		if c[i] != o[i] {
-			if c[i] < o[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-// BeginReplay prepares the kernel — quiescent at a window barrier — to
-// schedule events on behalf of a send that executed at virtual time sent on
-// another kernel, inside an event with the given birth chain. Until
-// EndReplay, scheduling calls record exactly the chain they would have
-// recorded on a single global kernel at the moment of that send. The
-// virtual clock is wound back to sent for the duration; every replayed
-// delivery lands at or after the window end, so no already-fired event is
-// ever contradicted.
-func (k *Kernel) BeginReplay(sent Time, chain BirthChain) {
-	k.savedNow, k.savedChain = k.now, k.curChain
-	k.now, k.curChain = sent, birthChain(chain)
-}
-
-// EndReplay restores the clock and birth chain saved by BeginReplay.
-func (k *Kernel) EndReplay() {
-	k.now, k.curChain = k.savedNow, k.savedChain
-}
-
 // Procs returns the processes spawned on this kernel, in spawn order.
 func (k *Kernel) Procs() []*Proc { return k.procs }
+
+// DefaultWorkers is the machine-derived shard count for work that splits
+// one job across goroutines (the analytic batch solvers): enough to use a
+// small machine fully, capped at four so a solve that runs next to other
+// sweep work does not oversubscribe the cores.
+func DefaultWorkers() int {
+	n := runtime.GOMAXPROCS(0)
+	if n > 4 {
+		n = 4
+	}
+	if n < 1 {
+		n = 1
+	}
+	return n
+}

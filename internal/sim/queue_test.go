@@ -3,7 +3,20 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
+
+// TestEventSize pins the queued event at seven words on 64-bit platforms:
+// events are copied through queue buckets and sorts on the hottest path,
+// so a field added to the struct should be a deliberate choice.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(event{}); got != 56 {
+		t.Errorf("event is %d bytes, want 56", got)
+	}
+}
 
 // popAll drains q, checking every pop against the reference heap, which
 // predates the ladder queue and is kept as the far-future fallback. Both

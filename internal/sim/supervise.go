@@ -91,36 +91,6 @@ type DiagSection struct {
 	Lines []string
 }
 
-// LPDump is one logical process's kernel state in an aggregated RunError
-// from a parallel (windowed) run: its local clock, event counters and queue
-// depth at the moment the run stopped.
-type LPDump struct {
-	// ID is the LP index (the cluster index, under package par's
-	// partitioning).
-	ID int
-	// Now is the LP's local virtual time.
-	Now Time
-	// Events is the number of events this LP fired.
-	Events uint64
-	// QueueLen is the number of events still pending on this LP.
-	QueueLen int
-	// Stopped marks the LP whose budget or watchdog tripped first.
-	Stopped bool
-}
-
-// WindowDump is the window-barrier state of a parallel run at the moment it
-// stopped.
-type WindowDump struct {
-	// Index is the number of windows started.
-	Index int
-	// Start and End bound the most recent window.
-	Start, End Time
-	// Lookahead is the conservative horizon the run used.
-	Lookahead Time
-	// Exchanged is the number of cross-LP messages injected at barriers.
-	Exchanged uint64
-}
-
 // RunError is the structured error for every abnormal run termination:
 // deadlock, budget kill, watchdog kill, or deadline. Beyond the one-line
 // Error string it carries a machine-readable snapshot of the simulation
@@ -141,12 +111,6 @@ type RunError struct {
 	Detail string
 	// Procs snapshots every process's state.
 	Procs []ProcDump
-	// LPs snapshots each logical process's kernel when the run executed in
-	// parallel windows (RunWindows); nil for sequential runs.
-	LPs []LPDump
-	// Window is the window-barrier state of a parallel run; nil for
-	// sequential runs.
-	Window *WindowDump
 	// Sections are subsystem dumps registered with AddDiagnostic.
 	Sections []DiagSection
 	// Cause is the underlying cause when one exists (for StopDeadline,
@@ -205,18 +169,6 @@ func (e *RunError) Report() string {
 		}
 	}
 	fmt.Fprintf(&b, "  processes:       %d total, %d not finished\n", len(e.Procs), live)
-	if e.Window != nil {
-		fmt.Fprintf(&b, "  window barrier:  window %d [%v, %v), lookahead %v, %d cross-LP messages exchanged\n",
-			e.Window.Index, e.Window.Start, e.Window.End, e.Window.Lookahead, e.Window.Exchanged)
-	}
-	for _, lp := range e.LPs {
-		marker := ""
-		if lp.Stopped {
-			marker = "  <- stopped"
-		}
-		fmt.Fprintf(&b, "    lp%d: now %v, %d events fired, %d pending%s\n",
-			lp.ID, lp.Now, lp.Events, lp.QueueLen, marker)
-	}
 	const maxProcLines = 64
 	shown := 0
 	for _, p := range e.Procs {

@@ -59,11 +59,10 @@ type WAN struct {
 	routes   []int32
 	routeOff []int32
 
-	diameter    int
-	maxHops     int
-	meanPath    float64
-	bisection   int
-	minLatScale float64
+	diameter  int
+	maxHops   int
+	meanPath  float64
+	bisection int
 }
 
 // Spec returns the canonical textual form of the graph ("clique",
@@ -133,8 +132,8 @@ func (w *WAN) Hops(s, d int) int {
 // routes (1 on a clique).
 func (w *WAN) Diameter() int { return w.diameter }
 
-// MaxHops is Diameter under its routing-layer name: the network defers
-// wide-area link booking to window barriers exactly when MaxHops exceeds 1.
+// MaxHops is Diameter under its routing-layer name: no chosen route has
+// more hops, and a graph whose MaxHops exceeds 1 forwards some messages.
 func (w *WAN) MaxHops() int { return w.maxHops }
 
 // MeanPathLength returns the average hop count over all ordered distinct
@@ -147,11 +146,6 @@ func (w *WAN) MeanPathLength() float64 { return w.meanPath }
 // grows quadratically with the cluster count — the effect behind the "more,
 // smaller clusters" result — while sparse graphs grow it much more slowly.
 func (w *WAN) BisectionLinks() int { return w.bisection }
-
-// MinLatencyScale returns the smallest latency scale over all links: the
-// factor the conservative PDES lookahead applies to the base wide-area
-// latency (every hop detains a message at least this long).
-func (w *WAN) MinLatencyScale() float64 { return w.minLatScale }
 
 // HopHistogram returns, indexed by hop count, how many ordered cluster
 // routes have that length (index 0 counts nothing; self-routes are
@@ -354,13 +348,6 @@ func (w *WAN) computeMetrics() {
 		a, b := side[e.Src], side[e.Dst]
 		if a >= 0 && b >= 0 && a != b {
 			w.bisection++
-		}
-	}
-
-	w.minLatScale = 1
-	for i, e := range w.edges {
-		if i == 0 || e.LatScale < w.minLatScale {
-			w.minLatScale = e.LatScale
 		}
 	}
 }
